@@ -284,8 +284,12 @@ def batch_vector_mv(components: np.ndarray, mats: np.ndarray, dim: int) -> np.nd
         col = comps[:, i]
         if not np.any(col):
             continue
-        bit = 1 << i
-        out[:, idx ^ bit] += col[:, None] * (sign[bit][None, :] * mats)
+        # e_i e_B lands on blade B ^ bit: gather instead of scattering.
+        src = idx ^ (1 << i)
+        term = mats[:, src]
+        term *= sign[1 << i][src]
+        term *= col[:, None]
+        out += term
     return out
 
 

@@ -18,6 +18,10 @@ The discarded terms are odd in omega but integrate against a kernel that
 is not even in omega, so they do not vanish: only 'corrected' reproduces
 interior values (the full-sphere Cauchy quadrature is the referee; see
 tests and demos for the measured discrepancy of the other variants).
+
+Both reconstruction and the full-sphere oracle work on whole arrays of
+quadrature nodes: they need fields whose A/B (or boundary function)
+accept arrays, as AxialField documents.
 """
 
 import math
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BiaxialPoint, Multivector, batch_vector_mv, embed_vector
+from .algebra import BiaxialPoint, Multivector, batch_vector_mv
 from .fields import AxialField
 from .quadrature import HemisphereRule, SphereRule, gauss_jacobi_rule, sphere_area
 from .special import hyp2f1_symmetric
@@ -33,6 +37,9 @@ from .special import hyp2f1_symmetric
 BALL_RADIUS_MAX = 0.9
 _MIN_BOUNDARY_DISTANCE = 0.05
 _PHI_NODES = 96
+# Hemisphere nodes per array pass; bounds the (nodes x 2^dim) and
+# (nodes x Jacobi) work arrays for fine rules.
+_NODE_BLOCK = 4096
 
 RECONSTRUCTION_VARIANTS = ("full", "printed", "corrected")
 
@@ -44,6 +51,34 @@ def _check_interior(r: float, y: np.ndarray) -> None:
             f"evaluation point has |x+y| = {rho:.3f} > {BALL_RADIUS_MAX}; "
             "too close to the boundary sphere"
         )
+
+
+def _node_geometry(r: float, y: np.ndarray, theta: np.ndarray, nu: np.ndarray):
+    """tau = r^2 + cos^2(theta) + |y - sin(theta) nu|^2 and c2 = 2 r cos(theta)
+    at hemisphere nodes theta (N,), nu (N, q), for one point (r, y)."""
+    c = np.cos(theta)
+    s = np.sin(theta)
+    tau = r ** 2 + c * c + np.sum((y - s[:, None] * nu) ** 2, axis=1)
+    return tau, 2.0 * r * c
+
+
+def _kernel_I(p: int, q: int, tau, c2):
+    """Closed moment I from tau and c2; floats or equal-shape arrays."""
+    a = 0.5 * (p + q)
+    b = 0.5 * (p - 1.0)
+    z = 2.0 * c2 / (tau + c2)
+    const = sphere_area(p - 1) * 2.0 ** (p - 2) * math.gamma(b) ** 2 / math.gamma(p - 1.0)
+    return const * (tau + c2) ** (-a) * hyp2f1_symmetric(a, b, z)
+
+
+def _kernel_phi(p: int, q: int, r: float, tau, c2, nodes: int = _PHI_NODES):
+    """First-order moment Phi from tau and c2; floats or equal-shape arrays."""
+    if r == 0.0:
+        return np.zeros_like(tau)
+    rule = gauss_jacobi_rule(nodes, 0.5 * (p - 3.0))
+    u = rule.nodes
+    vals = u * (np.expand_dims(tau, -1) - np.expand_dims(c2, -1) * u) ** (-0.5 * (p + q))
+    return sphere_area(p - 1) * (vals @ rule.weights)
 
 
 @dataclass(frozen=True)
@@ -81,9 +116,12 @@ class KernelParams:
         return self.r ** 2 + c * c + float(np.sum((self.y - s * self.nu) ** 2))
 
     @property
+    def c2(self) -> float:
+        return 2.0 * self.r * math.cos(self.theta)
+
+    @property
     def z(self) -> float:
-        c2 = 2.0 * self.r * math.cos(self.theta)
-        return 2.0 * c2 / (self.tau + c2)
+        return 2.0 * self.c2 / (self.tau + self.c2)
 
 
 def kernel_I_closed(kp: KernelParams) -> float:
@@ -94,15 +132,7 @@ def kernel_I_closed(kp: KernelParams) -> float:
     with z = 4 r cos(theta) / (tau + 2 r cos(theta)); at r = 0 this is the
     sphere measure |S^{p-1}| times tau^{-(p+q)/2}.
     """
-    p, q = kp.p, kp.q
-    a = 0.5 * (p + q)
-    b = 0.5 * (p - 1.0)
-    tau = kp.tau
-    c2 = 2.0 * kp.r * math.cos(kp.theta)
-    z = 2.0 * c2 / (tau + c2)
-    const = sphere_area(p - 1) * 2.0 ** (p - 2) * math.gamma(b) ** 2 / math.gamma(p - 1.0)
-    hyp = float(hyp2f1_symmetric(a, b, np.array(z)))
-    return const * (tau + c2) ** (-a) * hyp
+    return float(_kernel_I(kp.p, kp.q, kp.tau, kp.c2))
 
 
 def kernel_phi(kp: KernelParams, nodes: int = _PHI_NODES) -> float:
@@ -112,14 +142,7 @@ def kernel_phi(kp: KernelParams, nodes: int = _PHI_NODES) -> float:
     r = 0 and multiplies the omega-odd boundary terms in the corrected
     reconstruction.
     """
-    p, q = kp.p, kp.q
-    if kp.r == 0.0:
-        return 0.0
-    rule = gauss_jacobi_rule(nodes, 0.5 * (p - 3.0))
-    c2 = 2.0 * kp.r * math.cos(kp.theta)
-    tau = kp.tau
-    vals = rule.nodes * (tau - c2 * rule.nodes) ** (-0.5 * (p + q))
-    return sphere_area(p - 1) * float(np.dot(rule.weights, vals))
+    return float(_kernel_phi(kp.p, kp.q, kp.r, kp.tau, kp.c2, nodes))
 
 
 def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
@@ -145,57 +168,70 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
     return float(np.dot(rule.weights, dist2 ** (-0.5 * (p + q))))
 
 
+def _node_moments(field: AxialField, r: float, y: np.ndarray, theta: np.ndarray,
+                  nu: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted sums of the boundary values over one block of nodes.
+
+    Returns (2, q + 2, 2^dim) coefficients: the A values summed against
+    w I, w Phi cos(theta) and w I sin(theta) nu_j, and the B values summed
+    against w Phi, w I cos(theta) and w Phi sin(theta) nu_j.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    a_b = field.A(c, s[:, None] * nu)
+    b_b = field.B(c, s[:, None] * nu)
+    tau, c2 = _node_geometry(r, y, theta, nu)
+    w_i = w * _kernel_I(field.p, field.q, tau, c2)
+    w_phi = w * _kernel_phi(field.p, field.q, r, tau, c2)
+    weights_a = np.vstack([w_i, w_phi * c, (w_i * s) * nu.T])
+    weights_b = np.vstack([w_phi, w_i * c, (w_phi * s) * nu.T])
+    return np.stack([weights_a @ a_b, weights_b @ b_b])
+
+
 def reconstruct_ab_variants(field: AxialField, pt: BiaxialPoint, hrule: HemisphereRule):
     """All reconstruction variants in one sweep over the hemisphere nodes.
 
     Returns {variant: (A_value, B_value)} of y-subalgebra multivectors
-    such that the field at pt is A_value + (x/|x|) B_value.
+    such that the field at pt is A_value + (x/|x|) B_value.  The nodes go
+    through the kernels and field.A/field.B as arrays, in blocks of at
+    most _NODE_BLOCK nodes.  The node-dependent vectors nu and the fixed
+    y enter linearly, so they multiply weighted sums instead of rows:
+    sum_n w_n nu_n f_n = sum_j e_{p+j} (sum_n w_n nu_{n,j} f_n).
     """
     p, q = field.p, field.q
     if (pt.p, pt.q) != (p, q) or (hrule.p, hrule.q) != (p, q):
         raise ValueError("field, point, and rule must share (p, q)")
     _check_interior(pt.r, pt.y)
+    theta = hrule.theta_nodes
+    if np.any(theta < 0.0) or np.any(theta > 0.5 * math.pi + 1e-12):
+        raise ValueError("theta must lie in [0, pi/2]")
+    if np.any(np.abs(np.linalg.norm(hrule.nu.points, axis=1) - 1.0) > 1e-9):
+        raise ValueError("nu must be a unit vector")
     dim = p + q
     r = pt.r
-    y_mv = embed_vector(dim, p, pt.y)
-    size = 1 << dim
-    acc = {
-        "A_full": np.zeros(size, dtype=np.complex128),
-        "B_full": np.zeros(size, dtype=np.complex128),
-        "B_printed": np.zeros(size, dtype=np.complex128),
-        "A_corr": np.zeros(size, dtype=np.complex128),
-        "B_corr": np.zeros(size, dtype=np.complex128),
-    }
-    for theta, wt in zip(hrule.theta_nodes, hrule.theta_weights):
-        c, s = math.cos(theta), math.sin(theta)
-        for nu, wn in zip(hrule.nu.points, hrule.nu.weights):
-            w = wt * wn
-            a_b = field.A(c, s * nu)
-            b_b = field.B(c, s * nu)
-            nu_mv = embed_vector(dim, p, nu)
-            kp = KernelParams(p, q, r, pt.y, theta, nu)
-            kern_i = kernel_I_closed(kp)
-            nu_a = nu_mv * a_b
-            core = s * nu_a - c * b_b
-            acc["A_full"] += (w * kern_i) * (a_b + y_mv * core).coeffs
-            acc["B_full"] += (w * kern_i * r) * core.coeffs
-            acc["B_printed"] += (w * kern_i * r * s) * nu_a.coeffs
-            phi = kernel_phi(kp)
-            if phi != 0.0:
-                nu_b = nu_mv * b_b
-                acc["A_corr"] += (w * phi * r) * (s * nu_b - c * a_b).coeffs
-                acc["B_corr"] += (w * phi) * (
-                    b_b + s * (y_mv * nu_b) - c * (y_mv * a_b)
-                ).coeffs
-    lam = sphere_area(dim)
-    for key in acc:
-        acc[key] /= lam
+    n_nu = hrule.nu.points.shape[0]
+    total = hrule.theta_nodes.size * n_nu
+    mom = np.zeros((2, q + 2, 1 << dim), dtype=np.complex128)
+    for start in range(0, total, _NODE_BLOCK):
+        i_theta, i_nu = np.divmod(np.arange(start, min(start + _NODE_BLOCK, total)), n_nu)
+        w = hrule.theta_weights[i_theta] * hrule.nu.weights[i_nu]
+        mom += _node_moments(field, r, pt.y, hrule.theta_nodes[i_theta],
+                             hrule.nu.points[i_nu], w)
+    mom /= sphere_area(dim)
+    y_basis = np.eye(dim)[p:]
+    nu_a = batch_vector_mv(y_basis, mom[0, 2:], dim).sum(axis=0)
+    nu_b = batch_vector_mv(y_basis, mom[1, 2:], dim).sum(axis=0)
+    core = nu_a - mom[1, 1]
+    odd = nu_b - mom[0, 1]
+    y_vec = np.zeros((2, dim))
+    y_vec[:, p:] = pt.y
+    y_core, y_odd = batch_vector_mv(y_vec, np.stack([core, odd]), dim)
+    a_full = Multivector(dim, mom[0, 0] + y_core)
     return {
-        "full": (Multivector(dim, acc["A_full"]), Multivector(dim, acc["B_full"])),
-        "printed": (Multivector(dim, acc["A_full"]), Multivector(dim, acc["B_printed"])),
+        "full": (a_full, Multivector(dim, r * core)),
+        "printed": (a_full, Multivector(dim, r * nu_a)),
         "corrected": (
-            Multivector(dim, acc["A_full"] + acc["A_corr"]),
-            Multivector(dim, acc["B_full"] + acc["B_corr"]),
+            Multivector(dim, a_full.coeffs + r * odd),
+            Multivector(dim, mom[1, 0] + y_odd + r * core),
         ),
     }
 
@@ -212,30 +248,48 @@ class FullBallCauchy:
     """Full-sphere Cauchy integral with boundary values cached.
 
     Evaluates (1/lambda_{m-1}) int (z - eta)/|z - eta|^m eta f(eta) dS(eta)
-    over S^{m-1}; reusing one instance across evaluation points avoids
+    over S^{m-1}.  f_boundary maps the (N, m) block of rule nodes to
+    (N, 2^m) coefficients (AxialField.boundary_value does); it is called
+    once, and reusing one instance across evaluation points avoids
     re-sampling the boundary.
     """
 
     def __init__(self, f_boundary, rule: SphereRule):
         self.rule = rule
         self.dim = rule.dim
-        values = np.stack([f_boundary(eta).coeffs for eta in rule.points])
-        self._eta_f = batch_vector_mv(rule.points, values, self.dim)
+        values = np.asarray(f_boundary(rule.points))
+        expected = (rule.points.shape[0], 1 << self.dim)
+        if values.shape != expected:
+            raise ValueError(
+                f"f_boundary must map the {rule.points.shape} node block to {expected} "
+                f"coefficients, got shape {values.shape}"
+            )
+        self._f = np.asarray(values, dtype=np.complex128)
 
     def evaluate(self, pt: BiaxialPoint) -> Multivector:
         if pt.dim != self.dim:
             raise ValueError("point dimension does not match the rule")
         _check_interior(pt.r, pt.y)
+        dim = self.dim
+        eta = self.rule.points
         z = np.concatenate([pt.x, pt.y])
-        diff = z[None, :] - self.rule.points
-        dist = np.linalg.norm(diff, axis=1)
+        dist = np.linalg.norm(z[None, :] - eta, axis=1)
         if float(np.min(dist)) < _MIN_BOUNDARY_DISTANCE:
             raise ValueError("evaluation point is too close to a boundary node")
-        scale = self.rule.weights * dist ** (-float(self.dim))
-        integrand = batch_vector_mv(diff, self._eta_f, self.dim) * scale[:, None]
-        return Multivector(self.dim, integrand.sum(axis=0) / sphere_area(self.dim))
+        scale = self.rule.weights * dist ** (-float(dim))
+        # Bilinearity, with eta eta = -|eta|^2:
+        # sum scale (z - eta) eta f = z sum_i e_i (sum scale eta_i f) + sum scale |eta|^2 f.
+        moments = (scale[:, None] * eta).T @ self._f
+        eta_f = batch_vector_mv(np.eye(dim), moments, dim).sum(axis=0)
+        total = batch_vector_mv(z[None, :], eta_f[None, :], dim)[0]
+        total += (scale * np.einsum("ij,ij->i", eta, eta)) @ self._f
+        return Multivector(dim, total / sphere_area(dim))
 
 
 def cauchy_full_ball(f_boundary, pt: BiaxialPoint, rule: SphereRule) -> Multivector:
-    """One-shot full-sphere Cauchy quadrature; the master oracle."""
+    """One-shot full-sphere Cauchy quadrature; the master oracle.
+
+    f_boundary maps an (N, dim) block of sphere points to (N, 2^dim)
+    coefficients, as for FullBallCauchy.
+    """
     return FullBallCauchy(f_boundary, rule).evaluate(pt)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import BiaxialPoint, Multivector, embed_vector, vector_interior
+from .algebra import BiaxialPoint, Multivector, batch_vector_mv, embed_vector, vector_interior
 from .special import ConvergenceError, gamma_fn
 
 FD_STEP_MIN = 1e-6
@@ -109,12 +109,21 @@ class ExpLinear:
 
 @dataclass(frozen=True)
 class AxialField:
-    """Field A(|x|, y) + (x/|x|) B(|x|, y); A, B return y-subalgebra values."""
+    """Field A(|x|, y) + (x/|x|) B(|x|, y); A, B take y-subalgebra values.
+
+    A and B accept either one point or a batch.  A scalar r with y of
+    shape (q,) returns a Multivector; r of shape (N,) with y of shape
+    (N, q) returns an (N, 2^dim) coefficient array.  The library's
+    families are written once in array form and get the scalar case from
+    batched_part.  A field built from scalar-only callables still works
+    with value_at, vekua_residual and dirac_apply_fd, but not with
+    boundary_value, reconstruct_ab_variants or FullBallCauchy.
+    """
 
     p: int
     q: int
-    A: Callable[[float, np.ndarray], Multivector]
-    B: Callable[[float, np.ndarray], Multivector]
+    A: Callable
+    B: Callable
 
     def value_at(self, pt: BiaxialPoint) -> Multivector:
         if pt.p != self.p or pt.q != self.q:
@@ -124,36 +133,98 @@ class AxialField:
             return a
         return a + pt.embed_unit_x() * self.B(pt.r, pt.y)
 
-    def boundary_value(self, eta: np.ndarray) -> Multivector:
-        """Value at a point of the unit sphere of R^{p+q}."""
+    def boundary_value(self, eta: np.ndarray):
+        """Values at points of the unit sphere of R^{p+q}.
+
+        One point of shape (dim,) gives a Multivector; an (N, dim) block
+        gives (N, 2^dim) coefficients from one A and one B call.  Points
+        with |x| < 1e-12 take the value of A alone.
+        """
         eta = np.asarray(eta, dtype=np.float64)
-        pt = BiaxialPoint(self.p, self.q, eta[: self.p], eta[self.p:])
-        if pt.r < 1e-12:
-            return self.A(pt.r, pt.y)
-        return self.value_at(pt)
+        if eta.ndim == 1:
+            return Multivector(self.p + self.q, self._boundary_rows(eta[None, :])[0])
+        return self._boundary_rows(eta)
+
+    def _boundary_rows(self, eta: np.ndarray) -> np.ndarray:
+        p, dim = self.p, self.p + self.q
+        if eta.ndim != 2 or eta.shape[1] != dim:
+            raise ValueError(f"boundary points must have shape (N, {dim}), got {eta.shape}")
+        x, y = eta[:, :p], eta[:, p:]
+        r = np.linalg.norm(x, axis=1)
+        off_axis = r >= 1e-12
+        unit = np.zeros_like(eta)
+        unit[off_axis, :p] = x[off_axis] / r[off_axis, None]
+        rows = self.A(r, y)
+        rows += batch_vector_mv(unit, self.B(r, y), dim)
+        return rows
+
+
+def batched_part(dim: int, rows: Callable) -> Callable:
+    """Adapt an array-form A or B to the AxialField contract.
+
+    rows maps r of shape (N,) and y of shape (N, q) to (N, 2^dim)
+    coefficients.  The result passes arrays through and turns a scalar r
+    into a one-row call whose row it returns as a Multivector.
+    """
+
+    def part(r, y):
+        r = np.asarray(r, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if r.ndim == 0:
+            return Multivector(dim, rows(r[None], y[None, :])[0])
+        return rows(r, y)
+
+    return part
+
+
+def _scalar_rows(dim: int, values) -> np.ndarray:
+    """(N, 2^dim) coefficients with values in the scalar blade, zeros elsewhere."""
+    values = np.asarray(values)
+    out = np.zeros((values.size, 1 << dim), dtype=np.complex128)
+    out[:, 0] = values
+    return out
+
+
+def _on_radii(profile: Callable, r: np.ndarray) -> np.ndarray:
+    """Evaluate a scalar radial profile once per distinct radius in r.
+
+    profile maps a float to a tuple of values; the result has one row per
+    entry of r.  Hemisphere nodes share few radii, so the scalar special
+    functions run once per radius rather than once per node.
+    """
+    if r.size == 1:
+        # A one-point call: the sort in np.unique would cost more than it saves.
+        return np.array([profile(float(r[0]))])
+    radii, inverse = np.unique(r, return_inverse=True)
+    values = np.array([profile(float(rad)) for rad in radii])
+    return values[inverse.reshape(-1)]
 
 
 def constant_field(p: int, q: int, value=1.0) -> AxialField:
     dim = p + q
-    return AxialField(
-        p, q,
-        A=lambda r, y: Multivector.scalar(dim, value),
-        B=lambda r, y: Multivector.zero(dim),
-    )
+
+    def a_rows(r, y):
+        return _scalar_rows(dim, np.full(r.size, value))
+
+    def b_rows(r, y):
+        return np.zeros((r.size, 1 << dim), dtype=np.complex128)
+
+    return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
 
 
 def linear_monogenic_field(p: int, q: int, s) -> AxialField:
     """The Dirac-null polynomial <y, s> + (1/p) x s in axial form."""
     s = _unit(s)
     dim = p + q
+    s_coeffs = embed_vector(dim, p, s).coeffs
 
-    def a_part(r, y):
-        return Multivector.scalar(dim, float(np.dot(y, s)))
+    def a_rows(r, y):
+        return _scalar_rows(dim, y @ s)
 
-    def b_part(r, y):
-        return embed_vector(dim, p, (r / p) * s)
+    def b_rows(r, y):
+        return (r / p)[:, None] * s_coeffs
 
-    return AxialField(p, q, a_part, b_part)
+    return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
 
 
 @dataclass(frozen=True)
@@ -273,14 +344,6 @@ def series_axial_parts(series: HypermonogenicSeries, r: float, y: np.ndarray):
         else:
             target[0] += weight
     return Multivector(dim, a_acc), Multivector(dim, b_acc)
-
-
-def series_as_axial_field(series: HypermonogenicSeries) -> AxialField:
-    return AxialField(
-        series.p, series.q,
-        A=lambda r, y: series_axial_parts(series, r, y)[0],
-        B=lambda r, y: series_axial_parts(series, r, y)[1],
-    )
 
 
 def ck_bessel_form(pt: BiaxialPoint, s) -> Multivector:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import BiaxialPoint, Multivector, embed_vector
-from .fields import AxialField, ExpLinear, beta, _unit
+from .fields import AxialField, ExpLinear, batched_part, beta, _on_radii, _scalar_rows, _unit
 from .quadrature import SphereRule, sphere_area
 from .special import ConvergenceError, bessel_i, bessel_j, gamma_fn
 
@@ -210,16 +210,17 @@ def exp_hpw_axial_field(p: int, q: int, s) -> AxialField:
     """The exponential plane wave as an axial A/B pair."""
     s = _unit(s)
     dim = p + q
+    s_coeffs = embed_vector(dim, p, s).coeffs
 
-    def a_part(r, y):
-        c, _ = _exp_profiles(p, r)
-        return Multivector.scalar(dim, c * math.exp(float(np.dot(y, s))))
+    def a_rows(r, y):
+        c = _on_radii(lambda rad: _exp_profiles(p, rad), r)[:, 0]
+        return _scalar_rows(dim, c * np.exp(y @ s))
 
-    def b_part(r, y):
-        _, d = _exp_profiles(p, r)
-        return (d * math.exp(float(np.dot(y, s)))) * embed_vector(dim, p, s)
+    def b_rows(r, y):
+        d = _on_radii(lambda rad: _exp_profiles(p, rad), r)[:, 1]
+        return (d * np.exp(y @ s))[:, None] * s_coeffs
 
-    return AxialField(p, q, a_part, b_part)
+    return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
 
 
 def poly_coeff_a(j: int, k: int, p: int) -> float:
@@ -242,10 +243,11 @@ def poly_coeff_b(j: int, k: int, p: int) -> float:
     )
 
 
-def _poly_radial_coeffs(k: int, p: int, r: float, t: float):
+def _poly_radial_coeffs(k: int, p: int, r, t):
     """Coefficients (of x/|x| and of i s) in the radialized degree-k wave.
 
     The x powers carry their multivector signs: x^{2j} = (-1)^j |x|^{2j}.
+    r and t are floats or equal-shape arrays.
     """
     it = 1j * t
     coef_a = 0.0 + 0.0j
@@ -294,16 +296,31 @@ def poly_hpw_axial_field(p: int, q: int, s, k: int) -> AxialField:
         raise ValueError(f"degree must lie in [0, {MAX_POLY_DEGREE}], got {k}")
     s = _unit(s)
     dim = p + q
+    s_coeffs = embed_vector(dim, p, s).coeffs
 
-    def a_part(r, y):
-        _, coef_b = _poly_radial_coeffs(k, p, r, float(np.dot(y, s)))
-        return (1j * coef_b) * embed_vector(dim, p, s)
+    def a_rows(r, y):
+        _, coef_b = _poly_radial_coeffs(k, p, r, y @ s)
+        return (1j * coef_b)[:, None] * s_coeffs
 
-    def b_part(r, y):
-        coef_a, _ = _poly_radial_coeffs(k, p, r, float(np.dot(y, s)))
-        return Multivector.scalar(dim, coef_a * r)
+    def b_rows(r, y):
+        coef_a, _ = _poly_radial_coeffs(k, p, r, y @ s)
+        return _scalar_rows(dim, coef_a * r)
 
-    return AxialField(p, q, a_part, b_part)
+    return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
+
+
+def _fourier_profiles(p: int, r: float):
+    """Coefficients of s and of x/|x| in the Fourier kernel, less the phase.
+
+    sqrt(pi) kappa_p 2^{(p-2)/2} Gamma((p-1)/2) / r^{(p-2)/2} times
+    (i I_{(p-2)/2}(r), I_{p/2}(r)); at r = 0 the pair is (i |S^{p-1}|, 0).
+    """
+    if r == 0.0:
+        return 1j * sphere_area(p), 0.0
+    kappa = sphere_area(p - 1)
+    const = math.sqrt(math.pi) * kappa * 2.0 ** (0.5 * (p - 2.0)) * gamma_fn(0.5 * (p - 1.0))
+    const /= r ** (0.5 * (p - 2.0))
+    return 1j * const * bessel_i(0.5 * (p - 2.0), r), const * bessel_i(0.5 * p, r)
 
 
 def fourier_kernel_closed(pt: BiaxialPoint, s) -> Multivector:
@@ -314,17 +331,12 @@ def fourier_kernel_closed(pt: BiaxialPoint, s) -> Multivector:
     with G -> i |S^{p-1}| s exp(i<y,s>) as x -> 0.
     """
     s = _unit(s)
-    p, dim = pt.p, pt.dim
-    r = pt.r
     phase = cmath.exp(1j * float(np.dot(pt.y, s)))
-    s_mv = embed_vector(dim, p, s)
-    if r == 0.0:
-        return (1j * sphere_area(p) * phase) * s_mv
-    kappa = sphere_area(p - 1)
-    const = math.sqrt(math.pi) * kappa * 2.0 ** (0.5 * (p - 2.0)) * gamma_fn(0.5 * (p - 1.0))
-    const /= r ** (0.5 * (p - 2.0))
-    out = (1j * const * bessel_i(0.5 * (p - 2.0), r) * phase) * s_mv
-    return out + (const * bessel_i(0.5 * p, r) * phase) * pt.embed_unit_x()
+    cs, be = _fourier_profiles(pt.p, pt.r)
+    out = (cs * phase) * embed_vector(pt.dim, pt.p, s)
+    if pt.r == 0.0:
+        return out
+    return out + (be * phase) * pt.embed_unit_x()
 
 
 def fourier_kernel_oracle(pt: BiaxialPoint, s, rule: SphereRule) -> Multivector:
@@ -343,21 +355,14 @@ def fourier_axial_field(p: int, q: int, s) -> AxialField:
     """Fourier-kernel wave as an axial pair: A = (i-part) s, B scalar."""
     s = _unit(s)
     dim = p + q
+    s_coeffs = embed_vector(dim, p, s).coeffs
 
-    def profiles(r):
-        if r == 0.0:
-            return 1j * sphere_area(p), 0.0
-        kappa = sphere_area(p - 1)
-        const = math.sqrt(math.pi) * kappa * 2.0 ** (0.5 * (p - 2.0)) * gamma_fn(0.5 * (p - 1.0))
-        const /= r ** (0.5 * (p - 2.0))
-        return 1j * const * bessel_i(0.5 * (p - 2.0), r), const * bessel_i(0.5 * p, r)
+    def a_rows(r, y):
+        cs = _on_radii(lambda rad: _fourier_profiles(p, rad), r)[:, 0]
+        return (cs * np.exp(1j * (y @ s)))[:, None] * s_coeffs
 
-    def a_part(r, y):
-        cs, _ = profiles(r)
-        return (cs * cmath.exp(1j * float(np.dot(y, s)))) * embed_vector(dim, p, s)
+    def b_rows(r, y):
+        be = _on_radii(lambda rad: _fourier_profiles(p, rad), r)[:, 1]
+        return _scalar_rows(dim, be * np.exp(1j * (y @ s)))
 
-    def b_part(r, y):
-        _, be = profiles(r)
-        return Multivector.scalar(dim, be * cmath.exp(1j * float(np.dot(y, s))))
-
-    return AxialField(p, q, a_part, b_part)
+    return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))

@@ -9,7 +9,7 @@ here including the singular alpha = -1/2 case.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -127,15 +127,22 @@ class HemisphereRule:
 
     theta_weights already carry the cos^{p-1} sin^{q-1} surface factor, so
     summing g(theta, omega, nu) w_theta w_omega w_nu integrates g dS over
-    the whole sphere under eta = cos(theta) omega + sin(theta) nu.
+    the whole sphere under eta = cos(theta) omega + sin(theta) nu.  The
+    omega rule on S^{p-1} is built from resolution on first use, because
+    its node count grows like resolution^(p-1) and the hemisphere
+    reconstruction never reads it.
     """
 
     p: int
     q: int
     theta_nodes: np.ndarray
     theta_weights: np.ndarray
-    omega: SphereRule
     nu: SphereRule
+    resolution: int
+
+    @cached_property
+    def omega(self) -> SphereRule:
+        return sphere_rule(self.p, self.resolution)
 
     @property
     def total_weight(self) -> float:
@@ -167,7 +174,7 @@ def hemisphere_rule(p: int, q: int, resolution: int = 64) -> HemisphereRule:
     theta = 0.25 * math.pi * (base.nodes + 1.0)
     wt = 0.25 * math.pi * base.weights
     wt = wt * np.cos(theta) ** (p - 1) * np.sin(theta) ** (q - 1)
-    return HemisphereRule(p, q, theta, wt, sphere_rule(p, resolution), sphere_rule(q, resolution))
+    return HemisphereRule(p, q, theta, wt, sphere_rule(q, resolution), resolution)
 
 
 def _harmonic(k: int, m: int):

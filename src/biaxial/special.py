@@ -28,12 +28,6 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def lgamma(x: float) -> float:
-    if x <= 0:
-        raise ValueError(f"lgamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial a (a+1) ... (a+k-1); the empty product is 1."""
     if k < 0 or int(k) != k:

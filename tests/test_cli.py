@@ -172,3 +172,24 @@ def test_stdout_output(capsys):
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert payload["suite"] == "algebra"
+
+
+def test_verify_cauchy_dim_8_exits_before_building_omega(monkeypatch, capsys):
+    # hemisphere_rule(6, 2, 40) must not build its S^5 omega factor
+    # (about 1e8 nodes): the dim-8 ball rule rejects the call first.
+    import biaxial.cli as cli
+    import biaxial.quadrature as quadrature
+
+    real = quadrature.sphere_rule
+    requested = []
+
+    def spy(d, resolution=64):
+        requested.append(d)
+        assert d != 6, "the S^5 rule was requested"
+        return real(d, resolution)
+
+    monkeypatch.setattr(quadrature, "sphere_rule", spy)
+    monkeypatch.setattr(cli, "sphere_rule", spy)
+    assert run(["verify", "cauchy", "--p", "6", "--q", "2"]) == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+    assert 6 not in requested

@@ -119,6 +119,25 @@ def test_hemisphere_total_weight_mixed():
     assert rule.total_weight == pytest.approx(8.0 * math.pi ** 2 / 3.0, rel=1e-11)
 
 
+def test_hemisphere_omega_is_built_on_first_use(monkeypatch):
+    import biaxial.quadrature as quadrature
+
+    real = quadrature.sphere_rule
+    requested = []
+
+    def spy(d, resolution=64):
+        requested.append((d, resolution))
+        return real(d, resolution)
+
+    monkeypatch.setattr(quadrature, "sphere_rule", spy)
+    rule = hemisphere_rule(3, 2, 10)
+    assert requested == [(2, 10)]
+    omega = rule.omega
+    assert requested == [(2, 10), (3, 10), (2, 10)]
+    assert rule.omega is omega
+    assert np.array_equal(omega.points, real(3, 10).points)
+
+
 def test_hemisphere_requires_two_dims():
     with pytest.raises(ValueError):
         hemisphere_rule(2, 1)
