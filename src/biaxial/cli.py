@@ -35,13 +35,13 @@ from .fields import (
     ck_extend,
     constant_field,
     dirac_apply_fd,
+    dirac_residual_relative,
     eval_series,
     linear_monogenic_field,
     vekua_residual,
 )
 from .special import ConvergenceError
 from .planewave import (
-    eval_planewave,
     exp_coeffs_closed,
     exp_hpw_axial_field,
     exp_hpw_series,
@@ -149,6 +149,58 @@ def _interior_point(rng: SplitMix64, p: int, q: int, rho: float):
             return pt
 
 
+def _worst(rng: SplitMix64, cfg: RunConfig, rmin: float, rmax: float, error) -> float:
+    """Largest error(pt) over five random points with |x| in [rmin, rmax]."""
+    worst = 0.0
+    for _ in range(5):
+        worst = max(worst, error(_random_point(rng, cfg.p, cfg.q, rmin, rmax)))
+    return worst
+
+
+def _ck_exp(cfg: RunConfig):
+    """The CK extension of exp(<y, s>) and its pointwise value function."""
+    series = ck_extend(ExpLinear.exponential(cfg.s), cfg.p, cfg.q, J=cfg.J)
+    return series, lambda pt: eval_series(series, pt)[0]
+
+
+def _axial_fields(cfg: RunConfig) -> dict:
+    """Fields with closed A and B parts, by their reconstruct --field names."""
+    return {
+        "constant": constant_field(cfg.p, cfg.q),
+        "linear": linear_monogenic_field(cfg.p, cfg.q, cfg.s),
+        "exp-hpw": exp_hpw_axial_field(cfg.p, cfg.q, cfg.s),
+    }
+
+
+def _ball_rule(cfg: RunConfig):
+    """Sphere rule for the full-ball oracle; its node count grows like
+    res^(p+q-1), so the resolution is capped per dimension."""
+    ball_res = {4: 28, 5: 16, 6: 10}.get(cfg.p + cfg.q, 10)
+    return sphere_rule(cfg.p + cfg.q, min(cfg.res, ball_res))
+
+
+_RECONSTRUCTION_ERRORS = (
+    "err_A_full", "err_B_full", "err_A_printed", "err_B_printed",
+    "err_A_corrected", "err_B_corrected", "err_fullball_corrected", "printed_vs_full_B",
+)
+
+
+def _reconstruction_errors(field, pt: BiaxialPoint, hrule, oracle) -> dict:
+    """The _RECONSTRUCTION_ERRORS at pt: each variant's A and B against the
+    direct parts, the corrected assembly against the full-ball oracle, and
+    the printed variant's B against the full variant's."""
+    variants = reconstruct_ab_variants(field, pt, hrule)
+    direct = {"A": field.A(pt.r, pt.y), "B": field.B(pt.r, pt.y)}
+    errs = {f"err_{part}_{key}": (value - direct[part]).norm_inf
+            for key in ("full", "printed", "corrected")
+            for part, value in zip("AB", variants[key])}
+    a_c, b_c = variants["corrected"]
+    assembled = a_c + pt.embed_unit_x() * b_c
+    errs["err_fullball_corrected"] = (assembled - oracle.evaluate(pt)).norm_inf
+    errs["printed_vs_full_B"] = (variants["full"][1] - variants["printed"][1]).norm_inf
+    return errs
+
+
 # -- verification suites ---------------------------------------------------
 
 def _suite_algebra(cfg: RunConfig):
@@ -220,46 +272,30 @@ def _suite_vekua(cfg: RunConfig):
     rng = SplitMix64(cfg.seed)
     h = min(cfg.h, 1e-4)
     checks = []
-    cases = [
-        ("constant", constant_field(cfg.p, cfg.q), 1e-12),
-        ("linear", linear_monogenic_field(cfg.p, cfg.q, cfg.s), 1e-9),
-        ("exp_hpw", exp_hpw_axial_field(cfg.p, cfg.q, cfg.s), 1e-8),
-    ]
-    for name, field, tol in cases:
-        worst = 0.0
-        for _ in range(5):
-            pt = _random_point(rng, cfg.p, cfg.q, 0.3, 1.0)
-            res1, res2 = vekua_residual(field, pt.r, pt.y, h=h)
-            worst = max(worst, res1.norm_inf, res2.norm_inf)
-        checks.append(_check(f"vekua_{name}_h{h:g}", worst, tol))
+    tolerances = {"constant": 1e-12, "linear": 1e-9, "exp-hpw": 1e-8}
+    for name, field in _axial_fields(cfg).items():
+        worst = _worst(rng, cfg, 0.3, 1.0, lambda pt: max(
+            res.norm_inf for res in vekua_residual(field, pt.r, pt.y, h=h)))
+        checks.append(_check(f"vekua_{name.replace('-', '_')}_h{h:g}", worst, tolerances[name]))
     return checks
 
 
 def _suite_dirac(cfg: RunConfig):
     rng = SplitMix64(cfg.seed)
     checks = []
-    series = ck_extend(ExpLinear.exponential(cfg.s), cfg.p, cfg.q, J=cfg.J)
     smooth = [
         ("exp_hpw", lambda pt: hpw_exp_closed(pt, cfg.s)),
         ("fourier", lambda pt: fourier_kernel_closed(pt, cfg.s)),
-        ("ck_exp", lambda pt: eval_series(series, pt)[0]),
+        ("ck_exp", _ck_exp(cfg)[1]),
     ]
     for name, fn in smooth:
-        worst = 0.0
-        for _ in range(5):
-            pt = _random_point(rng, cfg.p, cfg.q, 0.2, 1.2)
-            res = dirac_apply_fd(fn, pt, h=cfg.h)
-            worst = max(worst, res.norm_inf / max(1.0, fn(pt).norm_inf))
+        worst = _worst(rng, cfg, 0.2, 1.2, lambda pt: dirac_residual_relative(fn, pt, cfg.h))
         checks.append(_check(f"dirac_{name}_h{cfg.h:g}", worst, 1e-6))
     # Degree-k polynomials need the smaller verdict step: their third
     # derivatives scale like k^3 and dominate the h^2 truncation.
     k = max(cfg.k, 2)
-    worst = 0.0
-    for _ in range(5):
-        pt = _random_point(rng, cfg.p, cfg.q, 0.2, 1.0)
-        fn = lambda pt2: radialize_poly(k, pt2, cfg.s)
-        res = dirac_apply_fd(fn, pt, h=1e-4)
-        worst = max(worst, res.norm_inf / max(1.0, fn(pt).norm_inf))
+    poly = lambda pt: radialize_poly(k, pt, cfg.s)
+    worst = _worst(rng, cfg, 0.2, 1.0, lambda pt: dirac_residual_relative(poly, pt, 1e-4))
     checks.append(_check(f"dirac_poly_k{k}_h0.0001", worst, 1e-6))
     return checks
 
@@ -302,32 +338,20 @@ def _suite_cauchy(cfg: RunConfig):
         raise ConfigError("cauchy suite needs q >= 2")
     rng = SplitMix64(cfg.seed)
     hrule = hemisphere_rule(cfg.p, cfg.q, min(cfg.res, 40))
-    ball_res = {4: 28, 5: 16, 6: 10}.get(cfg.p + cfg.q, 10)
-    ball = sphere_rule(cfg.p + cfg.q, min(cfg.res, ball_res))
-    fields = [
-        ("constant", constant_field(cfg.p, cfg.q)),
-        ("linear", linear_monogenic_field(cfg.p, cfg.q, cfg.s)),
-        ("exp_hpw", exp_hpw_axial_field(cfg.p, cfg.q, cfg.s)),
-    ]
+    ball = _ball_rule(cfg)
     pts = [_interior_point(rng, cfg.p, cfg.q, 0.5) for _ in range(2)]
     checks = []
-    for name, field in fields:
+    for name, field in _axial_fields(cfg).items():
+        name = name.replace("-", "_")
         oracle = FullBallCauchy(field.boundary_value, ball)
         worst_corr = 0.0
         worst_full = 0.0
         worst_ball = 0.0
         for pt in pts:
-            variants = reconstruct_ab_variants(field, pt, hrule)
-            a_direct = field.A(pt.r, pt.y)
-            b_direct = field.B(pt.r, pt.y)
-            a_c, b_c = variants["corrected"]
-            a_f, b_f = variants["full"]
-            worst_corr = max(worst_corr, (a_c - a_direct).norm_inf,
-                             (b_c - b_direct).norm_inf)
-            worst_full = max(worst_full, (a_f - a_direct).norm_inf,
-                             (b_f - b_direct).norm_inf)
-            assembled = a_c + pt.embed_unit_x() * b_c
-            worst_ball = max(worst_ball, (assembled - oracle.evaluate(pt)).norm_inf)
+            errs = _reconstruction_errors(field, pt, hrule, oracle)
+            worst_corr = max(worst_corr, errs["err_A_corrected"], errs["err_B_corrected"])
+            worst_full = max(worst_full, errs["err_A_full"], errs["err_B_full"])
+            worst_ball = max(worst_ball, errs["err_fullball_corrected"])
         checks.append(_check(f"reconstruct_corrected_vs_direct_{name}", worst_corr, 1e-4))
         checks.append(_check(f"reconstruct_corrected_vs_fullball_{name}", worst_ball, 1e-5))
         # The omega-odd kernel terms do not cancel, so the reduced
@@ -342,10 +366,8 @@ def _suite_planewave(cfg: RunConfig):
     rng = SplitMix64(cfg.seed)
     checks = []
     series = exp_hpw_series(cfg.p, cfg.q, cfg.s, J=cfg.J)
-    worst = 0.0
-    for _ in range(5):
-        pt = _random_point(rng, cfg.p, cfg.q, 0.0, 1.8)
-        worst = max(worst, _rel(hpw_exp_closed(pt, cfg.s), eval_planewave(series, pt)[0]))
+    worst = _worst(rng, cfg, 0.0, 1.8,
+                   lambda pt: _rel(hpw_exp_closed(pt, cfg.s), eval_series(series, pt)[0]))
     checks.append(_check("exp_closed_vs_series", worst, 1e-12))
     worst = 0.0
     for j in range(min(cfg.J, 20)):
@@ -382,22 +404,15 @@ def _suite_ck(cfg: RunConfig):
     checks = []
     linear = ck_extend(ExpLinear.polynomial(cfg.s, [0.0, 1.0]), cfg.p, cfg.q)
     term_err = 0.0 if (linear.terminated and linear.truncation == 2) else 1.0
-    term_err = max(term_err, abs(complex(linear.profiles[1].poly[0]) - 1.0 / cfg.p))
+    term_err = max(term_err, abs(complex(linear.D[1].poly[0]) - 1.0 / cfg.p))
     checks.append(_check("ck_linear_datum_terminates", term_err, 1e-14))
-    series = ck_extend(ExpLinear.exponential(cfg.s), cfg.p, cfg.q, J=cfg.J)
-    coeff_err = abs(complex(series.profiles[1].poly[0]) - 1.0 / cfg.p)
-    coeff_err = max(coeff_err, abs(complex(series.profiles[2].poly[0]) - 1.0 / (2.0 * cfg.p)))
+    series, ck_fn = _ck_exp(cfg)
+    coeff_err = abs(complex(series.D[1].poly[0]) - 1.0 / cfg.p)
+    coeff_err = max(coeff_err, abs(complex(series.C[2].poly[0]) - 1.0 / (2.0 * cfg.p)))
     checks.append(_check("ck_exp_low_coefficients", coeff_err, 1e-14))
-    worst = 0.0
-    for _ in range(5):
-        pt = _random_point(rng, cfg.p, cfg.q, 0.0, 1.8)
-        worst = max(worst, _rel(ck_bessel_form(pt, cfg.s), eval_series(series, pt)[0]))
+    worst = _worst(rng, cfg, 0.0, 1.8, lambda pt: _rel(ck_bessel_form(pt, cfg.s), ck_fn(pt)))
     checks.append(_check("ck_bessel_form_vs_series", worst, 1e-12))
-    worst = 0.0
-    for _ in range(5):
-        pt = _random_point(rng, cfg.p, cfg.q, 0.2, 1.2)
-        res = dirac_apply_fd(lambda pt2: eval_series(series, pt2)[0], pt, h=cfg.h)
-        worst = max(worst, res.norm_inf)
+    worst = _worst(rng, cfg, 0.2, 1.2, lambda pt: dirac_apply_fd(ck_fn, pt, h=cfg.h).norm_inf)
     checks.append(_check(f"ck_dirac_annihilation_h{cfg.h:g}", worst, 1e-6))
     return checks
 
@@ -439,12 +454,9 @@ def _eval_field_fn(cfg: RunConfig, field: str):
     if field == "poly":
         return lambda pt: radialize_poly(cfg.k, pt, cfg.s)
     if field == "ck":
-        series = ck_extend(ExpLinear.exponential(cfg.s), cfg.p, cfg.q, J=cfg.J)
-        return lambda pt: eval_series(series, pt)[0]
-    if field == "constant":
-        return constant_field(cfg.p, cfg.q).value_at
-    if field == "linear":
-        return linear_monogenic_field(cfg.p, cfg.q, cfg.s).value_at
+        return _ck_exp(cfg)[1]
+    if field in ("constant", "linear"):
+        return _axial_fields(cfg)[field].value_at
     raise ConfigError(f"unknown field {field!r}; choose from {FIELDS}")
 
 
@@ -530,40 +542,22 @@ def _cmd_reconstruct(cfg: RunConfig, args):
     if cfg.q < 2:
         raise ConfigError("reconstruct needs q >= 2")
     field_name = args.field
-    fields = {
-        "constant": constant_field(cfg.p, cfg.q),
-        "linear": linear_monogenic_field(cfg.p, cfg.q, cfg.s),
-        "exp-hpw": exp_hpw_axial_field(cfg.p, cfg.q, cfg.s),
-    }
+    fields = _axial_fields(cfg)
     if field_name not in fields:
         raise ConfigError(f"unknown field {field_name!r}; choose from {sorted(fields)}")
     field = fields[field_name]
     pts = _reconstruct_points(cfg, args)
     hrule = hemisphere_rule(cfg.p, cfg.q, min(cfg.res, 48))
-    ball_res = {4: 28, 5: 16, 6: 10}.get(cfg.p + cfg.q, 10)
-    oracle = FullBallCauchy(field.boundary_value, sphere_rule(cfg.p + cfg.q,
-                                                              min(cfg.res, ball_res)))
+    oracle = FullBallCauchy(field.boundary_value, _ball_rule(cfg))
     columns = (
         [f"x{i + 1}" for i in range(cfg.p)] + [f"y{i + 1}" for i in range(cfg.q)]
-        + ["err_A_full", "err_B_full", "err_A_printed", "err_B_printed",
-           "err_A_corrected", "err_B_corrected", "err_fullball_corrected",
-           "printed_vs_full_B"]
+        + list(_RECONSTRUCTION_ERRORS)
     )
     rows = []
     for pt in pts:
-        variants = reconstruct_ab_variants(field, pt, hrule)
-        a_direct = field.A(pt.r, pt.y)
-        b_direct = field.B(pt.r, pt.y)
+        errs = _reconstruction_errors(field, pt, hrule, oracle)
         row = [float(v) for v in pt.x] + [float(v) for v in pt.y]
-        for key in ("full", "printed", "corrected"):
-            a_v, b_v = variants[key]
-            row.append((a_v - a_direct).norm_inf)
-            row.append((b_v - b_direct).norm_inf)
-        a_c, b_c = variants["corrected"]
-        assembled = a_c + pt.embed_unit_x() * b_c
-        row.append((assembled - oracle.evaluate(pt)).norm_inf)
-        row.append((variants["full"][1] - variants["printed"][1]).norm_inf)
-        rows.append(row)
+        rows.append(row + [errs[name] for name in _RECONSTRUCTION_ERRORS])
     payload = {"command": "reconstruct", "field": field_name,
                "config": _config_echo(cfg), "columns": columns, "rows": rows}
     return 0, payload

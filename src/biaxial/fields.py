@@ -2,15 +2,18 @@
 
 An axial field is f(x, y) = A(|x|, y) + (x/|x|) B(|x|, y) with A, B valued
 in the y-generator subalgebra.  The module provides the closed function
-class P(t) e^{lambda t} in t = <y, s>, the power-series extension of
-initial data f(0, y) to a Dirac-null field, finite-difference Dirac and
-Vekua residuals, and the axial-operator form e d_r + d_y + ((p-1)/r) e.
+class P(t) e^{lambda t} in t = <y, s>, the one series engine for plane
+waves sum_j x^j (C_j + s D_j) (the (C_j, D_j) recurrence, its evaluator
+and its axial split; the power-series extension of initial data f(0, y)
+is the recurrence with D_0 = 0), finite-difference Dirac and Vekua
+residuals, and the axial-operator form e d_r + d_y + ((p-1)/r) e.
 acting in the reduced (q+1)-generator picture.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -80,7 +83,7 @@ class ExpLinear:
     def zero(cls, s) -> "ExpLinear":
         return cls(0.0, s, [0.0])
 
-    @property
+    @cached_property
     def is_zero(self) -> bool:
         return bool(np.all(self.poly == 0))
 
@@ -188,8 +191,8 @@ def _scalar_rows(dim: int, values) -> np.ndarray:
 def _on_radii(profile: Callable, r: np.ndarray) -> np.ndarray:
     """Evaluate a scalar radial profile once per distinct radius in r.
 
-    profile maps a float to a tuple of values; the result has one row per
-    entry of r.  Hemisphere nodes share few radii, so the scalar special
+    profile maps a float to a number; the result has one entry per entry
+    of r.  Hemisphere nodes share few radii, so the scalar special
     functions run once per radius rather than once per node.
     """
     if r.size == 1:
@@ -228,63 +231,79 @@ def linear_monogenic_field(p: int, q: int, s) -> AxialField:
 
 
 @dataclass(frozen=True)
-class HypermonogenicSeries:
-    """Series sum_j x^j f_j(y) with f_j = profile_j(t) times s^(j parity).
+class PlaneWaveSeries:
+    """Series sum_j x^j (C_j(t) + s D_j(t)) of closed-class profiles, t = <y, s>.
 
-    The recursion f_{j+1} = -(-1)^j beta_{j+1}^{-1} d_y f_j stays inside
-    the closed class: profiles alternate between plain and s-multiplied.
-    terminated marks series whose recursion reached an identically zero
-    profile, making the stored terms exact.
+    terminated marks series whose recurrence reached an identically zero
+    pair, making the stored terms exact.
     """
 
     p: int
     q: int
     s: np.ndarray
-    profiles: tuple
-    vector_flags: tuple
+    C: tuple
+    D: tuple
     terminated: bool
 
     def __post_init__(self):
         object.__setattr__(self, "s", _unit(self.s))
+        if len(self.C) != len(self.D):
+            raise ValueError("C and D profile lists must have equal length")
 
     @property
     def truncation(self) -> int:
-        return len(self.profiles)
+        return len(self.C)
+
+    @property
+    def profiles(self) -> tuple:
+        # The (C_j, D_j) pair of each stored index.  The benchmark's trace
+        # hook (bench/tracing.py) counts series terms as len(profiles).
+        return tuple(zip(self.C, self.D))
 
 
-def ck_extend(f0: ExpLinear, p: int, q: int = None, J: int = 40) -> HypermonogenicSeries:
-    """Unique Dirac-null series extension of the initial datum f(0, y) = f0.
+def hpw_recurrence(c0: ExpLinear, d0: ExpLinear, p: int, q: int, J: int = 40) -> PlaneWaveSeries:
+    """Extend initial profiles through the coupled first-order system.
 
-    Each step applies f_{j+1} = -(-1)^j beta_{j+1}^{-1} d_y f_j inside the
-    closed class; d_y of a plain profile g is s g', and of an s-multiplied
-    profile is -g' since s^2 = -1.
+    C_{j+1} = (-1)^j beta_{j+1}^{-1} D_j',
+    D_{j+1} = -(-1)^j beta_{j+1}^{-1} C_j'.
+
+    J steps store at most J + 1 pairs.  A zero pair is never stored:
+    reaching one sets terminated, so the zero datum gives the empty
+    series (truncation 0).
     """
     if J > 60:
         raise ValueError(f"truncation must satisfy J <= 60, got {J}")
+    C, D = [], []
+    c, d = c0, d0
+    for j in range(J + 1):
+        if c.is_zero and d.is_zero:
+            return PlaneWaveSeries(p, q, c0.s, tuple(C), tuple(D), True)
+        C.append(c)
+        D.append(d)
+        if j < J:
+            b = beta(j + 1, p)
+            sign = (-1.0) ** j
+            c, d = _derive(d, sign / b), _derive(c, -sign / b)
+    return PlaneWaveSeries(p, q, c0.s, tuple(C), tuple(D), False)
+
+
+def _derive(g: ExpLinear, factor: float) -> ExpLinear:
+    """factor * g'; a zero profile stays zero, so it is passed on as it is."""
+    return g if g.is_zero else g.d_dt().scale(factor)
+
+
+def ck_extend(f0: ExpLinear, p: int, q: int = None, J: int = 40) -> PlaneWaveSeries:
+    """Unique Dirac-null series extension of the initial datum f(0, y) = f0.
+
+    This is the recurrence with D_0 = 0: even-index terms are plain
+    (D_j = 0) and odd-index terms are s-multiplied (C_j = 0).
+    """
     if q is None:
         q = int(np.asarray(f0.s).size)
-    profiles = [f0]
-    flags = [False]
-    g, has_s = f0, False
-    terminated = f0.is_zero
-    for j in range(J):
-        if terminated:
-            break
-        dg = g.d_dt()
-        factor = -((-1.0) ** j) / beta(j + 1, p)
-        if has_s:
-            g, has_s = dg.scale(-factor), False
-        else:
-            g, has_s = dg.scale(factor), True
-        if g.is_zero:
-            terminated = True
-            break
-        profiles.append(g)
-        flags.append(has_s)
-    return HypermonogenicSeries(p, q, f0.s, tuple(profiles), tuple(flags), terminated)
+    return hpw_recurrence(f0, ExpLinear.zero(f0.s), p, q, J)
 
 
-def eval_series(series: HypermonogenicSeries, pt: BiaxialPoint, tail_tol: float = 1e-14):
+def eval_series(series: PlaneWaveSeries, pt: BiaxialPoint, tail_tol: float = 1e-14):
     """Evaluate the series at pt, realizing x^{2j} = (-1)^j |x|^{2j}.
 
     Returns (value, tail) where tail is the magnitude of the last term
@@ -298,28 +317,25 @@ def eval_series(series: HypermonogenicSeries, pt: BiaxialPoint, tail_tol: float 
     r = pt.r
     s_mv = embed_vector(dim, series.p, series.s)
     x_mv = pt.embed_x()
-    xs_mv = x_mv * s_mv
+    # Term j multiplies C_j and D_j by (1, s) for even j and by (x, x s)
+    # for odd j, where x^j = (-1)^(j//2) |x|^(j-1) x.
+    bases = (
+        (Multivector.scalar(dim, 1.0).coeffs, s_mv.coeffs),
+        (x_mv.coeffs, (x_mv * s_mv).coeffs),
+    )
     acc = np.zeros(1 << dim, dtype=np.complex128)
-    tail = 0.0
-    for j, (profile, has_s) in enumerate(zip(series.profiles, series.vector_flags)):
-        c = profile.value(t)
-        half = j // 2
-        sign = -1.0 if half % 2 else 1.0
-        if j % 2 == 0:
-            base = s_mv.coeffs if has_s else None
-            weight = sign * r ** j * c
-            if base is None:
-                term = np.zeros_like(acc)
-                term[0] = weight
-            else:
-                term = weight * base
-        else:
-            base = xs_mv.coeffs if has_s else x_mv.coeffs
-            term = (sign * r ** (j - 1) * c) * base
+    term = 0.0
+    for j, (cj, dj) in enumerate(zip(series.C, series.D)):
+        weight = (-1.0 if (j // 2) % 2 else 1.0) * r ** (j - j % 2)
+        plain, with_s = bases[j % 2]
+        # A zero half would add only signed zeros, so it is skipped.
+        term = 0.0
+        if not cj.is_zero:
+            term = (weight * cj.value(t)) * plain
+        if not dj.is_zero:
+            term = term + (weight * dj.value(t)) * with_s
         acc += term
-        tail = float(np.max(np.abs(term)))
-    if series.terminated:
-        tail = 0.0
+    tail = 0.0 if series.terminated else float(np.max(np.abs(term)))
     if tail > tail_tol * max(1.0, float(np.max(np.abs(acc)))):
         raise ConvergenceError(
             f"series tail {tail:.3e} above tolerance {tail_tol:.1e}; increase J or shrink |x|"
@@ -327,23 +343,26 @@ def eval_series(series: HypermonogenicSeries, pt: BiaxialPoint, tail_tol: float 
     return Multivector(dim, acc), tail
 
 
-def series_axial_parts(series: HypermonogenicSeries, r: float, y: np.ndarray):
-    """Axial split A = sum (-1)^j r^{2j} f_{2j}, B = sum (-1)^j r^{2j+1} f_{2j+1}."""
+def _parity_sum(profiles, parity: int, r: float, t: float) -> complex:
+    """sum_j (-1)^(j//2) r^j profiles[j](t) over the indices j of one parity."""
+    acc = 0.0 + 0.0j
+    for j in range(parity, len(profiles), 2):
+        sign = -1.0 if (j // 2) % 2 else 1.0
+        acc += sign * r ** j * profiles[j].value(t)
+    return acc
+
+
+def series_axial_parts(series: PlaneWaveSeries, r: float, y: np.ndarray):
+    """Axial split f = A + (x/|x|) B with A (B) the even (odd) terms at |x| = r."""
     dim = series.p + series.q
     t = float(np.dot(np.asarray(y, dtype=float), series.s))
     s_mv = embed_vector(dim, series.p, series.s)
-    a_acc = np.zeros(1 << dim, dtype=np.complex128)
-    b_acc = np.zeros_like(a_acc)
-    for j, (profile, has_s) in enumerate(zip(series.profiles, series.vector_flags)):
-        c = profile.value(t)
-        sign = -1.0 if (j // 2) % 2 else 1.0
-        weight = sign * r ** j * c
-        target = a_acc if j % 2 == 0 else b_acc
-        if has_s:
-            target += weight * s_mv.coeffs
-        else:
-            target[0] += weight
-    return Multivector(dim, a_acc), Multivector(dim, b_acc)
+
+    def part(parity):
+        c = _parity_sum(series.C, parity, r, t)
+        return Multivector.scalar(dim, c) + _parity_sum(series.D, parity, r, t) * s_mv
+
+    return part(0), part(1)
 
 
 def ck_bessel_form(pt: BiaxialPoint, s) -> Multivector:

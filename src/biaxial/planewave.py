@@ -1,8 +1,9 @@
 """Plane waves with x-radial symmetry.
 
-Constructions: the coefficient recurrence determined by the initial pair
-(C_0, D_0), the Gamma-ratio closed coefficients of the exponential family
-and its Bessel-J assembly, the polynomial radialization of
+Constructions on the series engine of biaxial.fields (the coefficient
+recurrence determined by the initial pair (C_0, D_0)): the parity split
+into four scalar evaluators, the Gamma-ratio closed coefficients of the
+exponential family and its Bessel-J assembly, the polynomial radialization of
 (<x,t> + i<y,s>)^k (t + i s) over t in S^{p-1}, and the Fourier-kernel
 family with its modified-Bessel closed form.  Every closed form has a
 sphere-quadrature oracle next to it.
@@ -15,89 +16,33 @@ zonal-integral oracle actually fixes (see the p = 2 anchors in the tests).
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .algebra import BiaxialPoint, Multivector, embed_vector
-from .fields import AxialField, ExpLinear, batched_part, beta, _on_radii, _scalar_rows, _unit
+from .fields import (
+    AxialField,
+    ExpLinear,
+    PlaneWaveSeries,
+    _on_radii,
+    _parity_sum,
+    _scalar_rows,
+    _unit,
+    batched_part,
+    ck_extend,
+    eval_series,
+    hpw_recurrence,
+)
 from .quadrature import SphereRule, sphere_area
-from .special import ConvergenceError, bessel_i, bessel_j, gamma_fn
+from .special import bessel_i, bessel_j, gamma_fn
 
 MAX_POLY_DEGREE = 12
 
 
-@dataclass(frozen=True)
-class PlaneWaveSeries:
-    """Series sum_j x^j (C_j(t) + s D_j(t)) of closed-class profiles."""
-
-    p: int
-    q: int
-    s: np.ndarray
-    C: tuple
-    D: tuple
-    terminated: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", _unit(self.s))
-        if len(self.C) != len(self.D):
-            raise ValueError("C and D profile lists must have equal length")
-
-    @property
-    def truncation(self) -> int:
-        return len(self.C)
-
-
-def hpw_recurrence(c0: ExpLinear, d0: ExpLinear, p: int, q: int, J: int = 40) -> PlaneWaveSeries:
-    """Extend initial profiles through the coupled first-order system.
-
-    C_{j+1} = (-1)^j beta_{j+1}^{-1} D_j',
-    D_{j+1} = -(-1)^j beta_{j+1}^{-1} C_j'.
-    """
-    if J > 60:
-        raise ValueError(f"truncation must satisfy J <= 60, got {J}")
-    C = [c0]
-    D = [d0]
-    terminated = False
-    for j in range(J):
-        if C[j].is_zero and D[j].is_zero:
-            C.pop()
-            D.pop()
-            terminated = True
-            break
-        b = beta(j + 1, p)
-        sign = (-1.0) ** j
-        C.append(D[j].d_dt().scale(sign / b))
-        D.append(C[j].d_dt().scale(-sign / b))
-    return PlaneWaveSeries(p, q, c0.s, tuple(C), tuple(D), terminated)
-
-
-def eval_planewave(series: PlaneWaveSeries, pt: BiaxialPoint, tail_tol: float = 1e-14):
-    """Evaluate at pt; returns (value, tail diagnostic)."""
-    if pt.p != series.p or pt.q != series.q:
-        raise ValueError("point and series axis dimensions differ")
-    dim = pt.dim
-    t = float(np.dot(pt.y, series.s))
-    r = pt.r
-    s_mv = embed_vector(dim, series.p, series.s)
-    x_mv = pt.embed_x()
-    xs_mv = x_mv * s_mv
-    acc = np.zeros(1 << dim, dtype=np.complex128)
-    tail = 0.0
-    for j, (cj, dj) in enumerate(zip(series.C, series.D)):
-        cv, dv = cj.value(t), dj.value(t)
-        sign = -1.0 if (j // 2) % 2 else 1.0
-        if j % 2 == 0:
-            term = (sign * r ** j * dv) * s_mv.coeffs
-            term[0] += sign * r ** j * cv
-        else:
-            term = (sign * r ** (j - 1)) * (cv * x_mv.coeffs + dv * xs_mv.coeffs)
-        acc += term
-        tail = float(np.max(np.abs(term)))
-    if series.terminated:
-        tail = 0.0
-    if tail > tail_tol * max(1.0, float(np.max(np.abs(acc)))):
-        raise ConvergenceError(f"plane-wave tail {tail:.3e} above tolerance {tail_tol:.1e}")
-    return Multivector(dim, acc), tail
+# The series engine lives in fields; PlaneWaveSeries, hpw_recurrence and
+# the one evaluator, as eval_planewave, stay importable from here.
+eval_planewave = eval_series
 
 
 @dataclass(frozen=True)
@@ -129,25 +74,12 @@ class HPWQuadruple:
 
 def planewave_quadruple(series: PlaneWaveSeries) -> HPWQuadruple:
     """Collect even-index terms into (A, C) and odd-index terms into (B, D)."""
-
-    def parity_sum(profiles, parity):
-        def evaluate(r, t):
-            acc = 0.0 + 0.0j
-            for j, prof in enumerate(profiles):
-                if j % 2 != parity:
-                    continue
-                sign = -1.0 if (j // 2) % 2 else 1.0
-                acc += sign * r ** j * prof.value(t)
-            return acc
-
-        return evaluate
-
     return HPWQuadruple(
         series.p, series.q, series.s,
-        A=parity_sum(series.C, 0),
-        B=parity_sum(series.C, 1),
-        C=parity_sum(series.D, 0),
-        D=parity_sum(series.D, 1),
+        A=partial(_parity_sum, series.C, 0),
+        B=partial(_parity_sum, series.C, 1),
+        C=partial(_parity_sum, series.D, 0),
+        D=partial(_parity_sum, series.D, 1),
     )
 
 
@@ -174,18 +106,23 @@ def exp_coeffs_closed(j: int, p: int) -> float:
 
 
 def exp_hpw_series(p: int, q: int, s, J: int = 40) -> PlaneWaveSeries:
-    """Exponential family from the recurrence with c_0 = 1, d_0 = 0."""
-    s = _unit(s)
-    return hpw_recurrence(ExpLinear.exponential(s), ExpLinear.zero(s), p, q, J)
+    """Exponential family: the extension of exp(<y, s>), so c_0 = 1, d_0 = 0."""
+    return ck_extend(ExpLinear.exponential(s), p, q, J)
+
+
+def _exp_profile(p: int, r: float, k: int) -> float:
+    """Radial coefficient of 1 (k = 0) or of (x/|x|) s (k = 1) in the
+    exponential family's Bessel closed form: scale(r) J_{p/2-1+k}(r)."""
+    half_p = 0.5 * p
+    if r == 0.0:
+        return (1.0, 0.0)[k]
+    scale = 2.0 ** (half_p - 1.0) * gamma_fn(half_p) / r ** (half_p - 1.0)
+    return scale * bessel_j(half_p - 1.0 + k, r)
 
 
 def _exp_profiles(p: int, r: float):
-    """Radial coefficients of the exponential family's Bessel closed form."""
-    half_p = 0.5 * p
-    if r == 0.0:
-        return 1.0, 0.0
-    scale = 2.0 ** (half_p - 1.0) * gamma_fn(half_p) / r ** (half_p - 1.0)
-    return scale * bessel_j(half_p - 1.0, r), scale * bessel_j(half_p, r)
+    """Both radial coefficients of the exponential family's closed form."""
+    return _exp_profile(p, r, 0), _exp_profile(p, r, 1)
 
 
 def hpw_exp_closed(pt: BiaxialPoint, s) -> Multivector:
@@ -213,11 +150,11 @@ def exp_hpw_axial_field(p: int, q: int, s) -> AxialField:
     s_coeffs = embed_vector(dim, p, s).coeffs
 
     def a_rows(r, y):
-        c = _on_radii(lambda rad: _exp_profiles(p, rad), r)[:, 0]
+        c = _on_radii(lambda rad: _exp_profile(p, rad, 0), r)
         return _scalar_rows(dim, c * np.exp(y @ s))
 
     def b_rows(r, y):
-        d = _on_radii(lambda rad: _exp_profiles(p, rad), r)[:, 1]
+        d = _on_radii(lambda rad: _exp_profile(p, rad, 1), r)
         return (d * np.exp(y @ s))[:, None] * s_coeffs
 
     return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
@@ -309,18 +246,20 @@ def poly_hpw_axial_field(p: int, q: int, s, k: int) -> AxialField:
     return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
 
 
-def _fourier_profiles(p: int, r: float):
-    """Coefficients of s and of x/|x| in the Fourier kernel, less the phase.
+def _fourier_profile(p: int, r: float, k: int) -> complex:
+    """Coefficient of s (k = 0) or of x/|x| (k = 1) in the Fourier kernel,
+    less the phase.
 
     sqrt(pi) kappa_p 2^{(p-2)/2} Gamma((p-1)/2) / r^{(p-2)/2} times
-    (i I_{(p-2)/2}(r), I_{p/2}(r)); at r = 0 the pair is (i |S^{p-1}|, 0).
+    i I_{(p-2)/2}(r) for k = 0 and I_{p/2}(r) for k = 1; at r = 0 the
+    pair is (i |S^{p-1}|, 0).
     """
     if r == 0.0:
-        return 1j * sphere_area(p), 0.0
+        return (1j * sphere_area(p), 0.0)[k]
     kappa = sphere_area(p - 1)
     const = math.sqrt(math.pi) * kappa * 2.0 ** (0.5 * (p - 2.0)) * gamma_fn(0.5 * (p - 1.0))
     const /= r ** (0.5 * (p - 2.0))
-    return 1j * const * bessel_i(0.5 * (p - 2.0), r), const * bessel_i(0.5 * p, r)
+    return (1j, 1.0)[k] * const * bessel_i(0.5 * (p - 2.0) + k, r)
 
 
 def fourier_kernel_closed(pt: BiaxialPoint, s) -> Multivector:
@@ -332,11 +271,10 @@ def fourier_kernel_closed(pt: BiaxialPoint, s) -> Multivector:
     """
     s = _unit(s)
     phase = cmath.exp(1j * float(np.dot(pt.y, s)))
-    cs, be = _fourier_profiles(pt.p, pt.r)
-    out = (cs * phase) * embed_vector(pt.dim, pt.p, s)
+    out = (_fourier_profile(pt.p, pt.r, 0) * phase) * embed_vector(pt.dim, pt.p, s)
     if pt.r == 0.0:
         return out
-    return out + (be * phase) * pt.embed_unit_x()
+    return out + (_fourier_profile(pt.p, pt.r, 1) * phase) * pt.embed_unit_x()
 
 
 def fourier_kernel_oracle(pt: BiaxialPoint, s, rule: SphereRule) -> Multivector:
@@ -358,11 +296,11 @@ def fourier_axial_field(p: int, q: int, s) -> AxialField:
     s_coeffs = embed_vector(dim, p, s).coeffs
 
     def a_rows(r, y):
-        cs = _on_radii(lambda rad: _fourier_profiles(p, rad), r)[:, 0]
+        cs = _on_radii(lambda rad: _fourier_profile(p, rad, 0), r)
         return (cs * np.exp(1j * (y @ s)))[:, None] * s_coeffs
 
     def b_rows(r, y):
-        be = _on_radii(lambda rad: _fourier_profiles(p, rad), r)[:, 1]
+        be = _on_radii(lambda rad: _fourier_profile(p, rad, 1), r)
         return _scalar_rows(dim, be * np.exp(1j * (y @ s)))
 
     return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))

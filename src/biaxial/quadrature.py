@@ -15,6 +15,10 @@ import numpy as np
 
 from .special import gegenbauer_normalized
 
+# Node budget of sphere_rule: admits sphere_rule(4, 96) = 884,736 nodes,
+# the finest rule the CLI requests.
+MAX_SPHERE_NODES = 1_000_000
+
 
 def sphere_area(ndim: int) -> float:
     """Surface measure of the unit sphere S^{ndim-1} in R^ndim."""
@@ -95,12 +99,18 @@ def sphere_rule(d: int, resolution: int = 64) -> SphereRule:
     """Product quadrature on S^{d-1} for d <= 6.
 
     resolution counts nodes per one-dimensional factor, so node totals grow
-    like resolution^(d-1); keep it modest for d >= 4.
+    like resolution^(d-1); a rule above MAX_SPHERE_NODES is rejected before
+    anything is allocated.
     """
     if not 1 <= d <= 6:
         raise ValueError(f"sphere dimension must satisfy 1 <= d <= 6, got {d}")
     if d > 1 and resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if resolution ** (d - 1) > MAX_SPHERE_NODES:
+        raise ValueError(
+            f"sphere_rule({d}, {resolution}) needs {resolution ** (d - 1)} nodes, "
+            f"above the limit of {MAX_SPHERE_NODES}"
+        )
     if d == 1:
         return SphereRule(1, np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
     if d == 2:

@@ -193,3 +193,17 @@ def test_verify_cauchy_dim_8_exits_before_building_omega(monkeypatch, capsys):
     assert run(["verify", "cauchy", "--p", "6", "--q", "2"]) == 2
     assert "error" in json.loads(capsys.readouterr().err)
     assert 6 not in requested
+
+
+@pytest.mark.parametrize("args, nodes", [
+    (["verify", "planewave", "--p", "5", "--q", "3"], 48 ** 4),
+    (["verify", "kernel", "--p", "6", "--q", "2"], 64 ** 5),
+    (["kernel-table", "--p", "6", "--q", "2"], 64 ** 5),
+    (["verify", "cauchy", "--p", "2", "--q", "6"], 40 ** 5),
+])
+def test_over_budget_rule_exits_2_before_allocation(refuse_polar_rules, capsys, args, nodes):
+    import biaxial.quadrature as quadrature
+
+    assert run(args) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert f"needs {nodes} nodes, above the limit of {quadrature.MAX_SPHERE_NODES}" in error

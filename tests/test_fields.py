@@ -143,10 +143,9 @@ def test_ck_extension_of_linear_datum_terminates():
     series = ck_extend(f0, p=3, q=2)
     assert series.terminated
     assert series.truncation == 2
-    # f1 = (1/p) s
-    prof1 = series.profiles[1]
-    assert series.vector_flags[1] is True
-    np.testing.assert_allclose(prof1.poly, [1.0 / 3.0])
+    # f1 = (1/p) s: an s-multiplied term, so its plain half vanishes
+    assert series.C[1].is_zero
+    np.testing.assert_allclose(series.D[1].poly, [1.0 / 3.0])
     pt = BiaxialPoint(3, 2, np.array([0.2, 0.1, -0.3]), np.array([0.5, 0.4]))
     value, tail = eval_series(series, pt)
     direct = linear_monogenic_field(3, 2, S2).value_at(pt)
@@ -167,11 +166,12 @@ def test_ck_exponential_coefficients():
     # Extension of exp(<y,s>): f1 = (1/p) s e^t, f2 = 1/(2p) e^t.
     p = 3
     series = ck_extend(ExpLinear.exponential(S2), p=p, q=2)
-    assert series.vector_flags[0] is False
-    assert series.vector_flags[1] is True
-    assert series.vector_flags[2] is False
-    np.testing.assert_allclose(series.profiles[1].poly, [1.0 / p])
-    np.testing.assert_allclose(series.profiles[2].poly, [1.0 / (2.0 * p)])
+    # Even terms are plain (D_j = 0), odd terms s-multiplied (C_j = 0).
+    assert series.D[0].is_zero
+    assert series.C[1].is_zero
+    assert series.D[2].is_zero
+    np.testing.assert_allclose(series.D[1].poly, [1.0 / p])
+    np.testing.assert_allclose(series.C[2].poly, [1.0 / (2.0 * p)])
 
 
 def test_ck_series_annihilated_by_dirac():

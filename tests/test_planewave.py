@@ -299,3 +299,31 @@ def test_fourier_axial_field_matches_closed():
     assembled = field.value_at(pt)
     closed = fourier_kernel_closed(pt, S2)
     assert (assembled - closed).norm_inf < 1e-12
+
+
+@pytest.mark.parametrize("make", [exp_hpw_axial_field, fourier_axial_field])
+def test_axial_parts_make_one_bessel_call_per_radius(monkeypatch, make):
+    # A and B each need one Bessel order, so each evaluates it once per
+    # distinct radius and never the other part's order.
+    import biaxial.planewave as planewave
+
+    radii = []
+
+    def counted(real):
+        def bessel(nu, z):
+            radii.append(z)
+            return real(nu, z)
+        return bessel
+
+    for name in ("bessel_j", "bessel_i"):
+        monkeypatch.setattr(planewave, name, counted(getattr(planewave, name)))
+    field = make(3, 2, S2)
+    r = np.array([0.3, 0.7, 0.3, 1.1, 0.7])
+    y = np.linspace(-0.5, 0.5, 10).reshape(5, 2)
+    for part in (field.A, field.B):
+        radii.clear()
+        part(r, y)
+        assert sorted(radii) == [0.3, 0.7, 1.1]
+        radii.clear()
+        part(0.4, y[0])
+        assert radii == [0.4]

@@ -195,3 +195,18 @@ def test_funk_hecke_agreement_battery(m, k):
         lhs, rhs = funk_hecke_check(psi, k, m, resolution=res)
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) / scale < 1e-8, (name, m, k, lhs, rhs)
+
+
+def test_sphere_rule_node_budget_is_checked_before_allocation(refuse_polar_rules):
+    import biaxial.quadrature as quadrature
+
+    limit = str(quadrature.MAX_SPHERE_NODES)
+    with pytest.raises(ValueError, match=rf"needs {96 ** 4} nodes, above the limit of {limit}"):
+        sphere_rule(5, 96)
+    with pytest.raises(ValueError, match=rf"needs {40 ** 5} nodes, above the limit of {limit}"):
+        hemisphere_rule(2, 6, 40)
+
+
+def test_sphere_rule_budget_admits_the_finest_cli_rule():
+    rule = sphere_rule(4, 96)
+    assert rule.points.shape == (96 ** 3, 4)
