@@ -185,10 +185,6 @@ class Multivector:
         off = self.coeffs[grades != 1]
         return bool(np.all(np.abs(off) <= tol))
 
-    def vector_components(self) -> np.ndarray:
-        """The grade-1 coefficients as a length-dim array."""
-        return np.array([self.coeffs[1 << i] for i in range(self.dim)])
-
     def __repr__(self):
         terms = []
         for mask in np.flatnonzero(np.abs(self.coeffs) > 0):
@@ -210,16 +206,6 @@ def _geometric_product(a: Multivector, b: Multivector) -> Multivector:
     for i in np.flatnonzero(a.coeffs):
         out[i ^ idx] += (a.coeffs[i] * sign[i]) * bc
     return Multivector._wrap(a.dim, out)
-
-
-def mv_product(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric product; function form of a * b."""
-    return _geometric_product(a, b)
-
-
-def grade_project(a: Multivector, k: int) -> Multivector:
-    """Function form of a.grade(k)."""
-    return a.grade(k)
 
 
 def _vector_bits(x: Multivector):

@@ -7,7 +7,7 @@ to two zonal moments of (tau - 2 r cos(theta) u)^{-(p+q)/2}:
   I   - the plain moment, with a closed hypergeometric form,
   Phi - the first-order moment (weighted by u), evaluated by quadrature.
 
-reconstruct_ab supports three assembly variants of the reduced integral:
+reconstruct_ab_variants assembles three variants of the reduced integral:
 
   'full'      keeps I (A + (x+y)(sin(theta) nu A - cos(theta) B)) and
               grade-splits it,
@@ -41,8 +41,6 @@ _PHI_NODES = 96
 # (nodes x Jacobi) work arrays for fine rules.
 _NODE_BLOCK = 4096
 
-RECONSTRUCTION_VARIANTS = ("full", "printed", "corrected")
-
 
 def _check_interior(r: float, y: np.ndarray) -> None:
     rho = math.sqrt(r * r + float(np.dot(y, y)))
@@ -71,11 +69,11 @@ def _kernel_I(p: int, q: int, tau, c2):
     return const * (tau + c2) ** (-a) * hyp2f1_symmetric(a, b, z)
 
 
-def _kernel_phi(p: int, q: int, r: float, tau, c2, nodes: int = _PHI_NODES):
+def _kernel_phi(p: int, q: int, r: float, tau, c2):
     """First-order moment Phi from tau and c2; floats or equal-shape arrays."""
     if r == 0.0:
         return np.zeros_like(tau)
-    rule = gauss_jacobi_rule(nodes, 0.5 * (p - 3.0))
+    rule = gauss_jacobi_rule(_PHI_NODES, 0.5 * (p - 3.0))
     u = rule.nodes
     vals = u * (np.expand_dims(tau, -1) - np.expand_dims(c2, -1) * u) ** (-0.5 * (p + q))
     return sphere_area(p - 1) * (vals @ rule.weights)
@@ -135,14 +133,14 @@ def kernel_I_closed(kp: KernelParams) -> float:
     return float(_kernel_I(kp.p, kp.q, kp.tau, kp.c2))
 
 
-def kernel_phi(kp: KernelParams, nodes: int = _PHI_NODES) -> float:
+def kernel_phi(kp: KernelParams) -> float:
     """First-order zonal moment kappa_p int u (1-u^2)^{(p-3)/2} K(u) du.
 
     K(u) = (tau - 2 r cos(theta) u)^{-(p+q)/2}; the moment vanishes at
     r = 0 and multiplies the omega-odd boundary terms in the corrected
     reconstruction.
     """
-    return float(_kernel_phi(kp.p, kp.q, kp.r, kp.tau, kp.c2, nodes))
+    return float(_kernel_phi(kp.p, kp.q, kp.r, kp.tau, kp.c2))
 
 
 def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
@@ -236,16 +234,9 @@ def reconstruct_ab_variants(field: AxialField, pt: BiaxialPoint, hrule: Hemisphe
     }
 
 
-def reconstruct_ab(field: AxialField, pt: BiaxialPoint, hrule: HemisphereRule,
-                   variant: str = "full"):
-    """Hemisphere reconstruction of the axial components at pt."""
-    if variant not in RECONSTRUCTION_VARIANTS:
-        raise ValueError(f"variant must be one of {RECONSTRUCTION_VARIANTS}")
-    return reconstruct_ab_variants(field, pt, hrule)[variant]
-
-
 class FullBallCauchy:
-    """Full-sphere Cauchy integral with boundary values cached.
+    """Full-sphere Cauchy integral with boundary values cached; the master
+    oracle of the hemisphere reconstruction.
 
     Evaluates (1/lambda_{m-1}) int (z - eta)/|z - eta|^m eta f(eta) dS(eta)
     over S^{m-1}.  f_boundary maps the (N, m) block of rule nodes to
@@ -284,12 +275,3 @@ class FullBallCauchy:
         total = batch_vector_mv(z[None, :], eta_f[None, :], dim)[0]
         total += (scale * np.einsum("ij,ij->i", eta, eta)) @ self._f
         return Multivector(dim, total / sphere_area(dim))
-
-
-def cauchy_full_ball(f_boundary, pt: BiaxialPoint, rule: SphereRule) -> Multivector:
-    """One-shot full-sphere Cauchy quadrature; the master oracle.
-
-    f_boundary maps an (N, dim) block of sphere points to (N, 2^dim)
-    coefficients, as for FullBallCauchy.
-    """
-    return FullBallCauchy(f_boundary, rule).evaluate(pt)

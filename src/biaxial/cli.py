@@ -250,8 +250,7 @@ _PSI_BATTERY = (
 
 def _funkhecke_resolution(m: int, res: int) -> int:
     # Product-rule node counts grow like res^(m-1); cap the high dims.
-    cap = {2: res, 3: res, 4: 32, 5: 20, 6: 12}[m]
-    return min(res, cap) if m >= 4 else (res if m == 2 else min(res, 48))
+    return min(res, {2: res, 3: 48, 4: 32, 5: 20}[m])
 
 
 def _suite_funkhecke(cfg: RunConfig):
@@ -311,6 +310,16 @@ def _kernel_grid(cfg: RunConfig):
                 yield float(r), float(theta), ylen * yhat, nu
 
 
+def _kernel_pair(cfg: RunConfig, rule, r: float, theta: float, y, nu):
+    """The node's KernelParams, closed kernel moment I and its S^{p-1}
+    quadrature oracle at x = r e_1."""
+    kp = KernelParams(cfg.p, cfg.q, r, y, theta, nu)
+    closed = kernel_I_closed(kp)
+    x = np.zeros(cfg.p)
+    x[0] = r
+    return kp, closed, kernel_I_oracle(x, y, theta, nu, rule)
+
+
 def _suite_kernel(cfg: RunConfig):
     if cfg.q < 2:
         raise ConfigError("kernel suite needs q >= 2")
@@ -318,11 +327,7 @@ def _suite_kernel(cfg: RunConfig):
     worst = 0.0
     anchor = 0.0
     for r, theta, y, nu in _kernel_grid(cfg):
-        kp = KernelParams(cfg.p, cfg.q, r, y, theta, nu)
-        closed = kernel_I_closed(kp)
-        x = np.zeros(cfg.p)
-        x[0] = r
-        oracle = kernel_I_oracle(x, y, theta, nu, rule)
+        kp, closed, oracle = _kernel_pair(cfg, rule, r, theta, y, nu)
         worst = max(worst, abs(closed - oracle) / max(abs(closed), abs(oracle)))
         if r == 0.0:
             expected = sphere_area(cfg.p) * kp.tau ** (-0.5 * (cfg.p + cfg.q))
@@ -400,6 +405,8 @@ def _suite_planewave(cfg: RunConfig):
 
 
 def _suite_ck(cfg: RunConfig):
+    if cfg.J < 2:
+        raise ConfigError(f"ck suite needs J >= 2, got J={cfg.J}")
     rng = SplitMix64(cfg.seed)
     checks = []
     linear = ck_extend(ExpLinear.polynomial(cfg.s, [0.0, 1.0]), cfg.p, cfg.q)
@@ -507,11 +514,7 @@ def _cmd_kernel_table(cfg: RunConfig, args):
     failed = False
     for r in rs:
         for theta in thetas:
-            kp = KernelParams(cfg.p, cfg.q, float(r), y, float(theta), nu)
-            closed = kernel_I_closed(kp)
-            x = np.zeros(cfg.p)
-            x[0] = r
-            oracle = kernel_I_oracle(x, y, float(theta), nu, rule)
+            _, closed, oracle = _kernel_pair(cfg, rule, float(r), float(theta), y, nu)
             diff = abs(closed - oracle)
             failed = failed or diff > args.tol * max(1.0, abs(closed))
             rows.append([float(r), float(theta), closed, oracle, diff])

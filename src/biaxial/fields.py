@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import BiaxialPoint, Multivector, batch_vector_mv, embed_vector, vector_interior
-from .special import ConvergenceError, gamma_fn
+from .special import BESSEL_J_MAX_ARG, ConvergenceError, gamma_fn
 
 FD_STEP_MIN = 1e-6
 FD_STEP_MAX = 1e-2
@@ -72,8 +72,8 @@ class ExpLinear:
         object.__setattr__(self, "poly", poly)
 
     @classmethod
-    def exponential(cls, s, lam=1.0) -> "ExpLinear":
-        return cls(lam, s, [1.0])
+    def exponential(cls, s) -> "ExpLinear":
+        return cls(1.0, s, [1.0])
 
     @classmethod
     def polynomial(cls, s, coeffs) -> "ExpLinear":
@@ -292,14 +292,12 @@ def _derive(g: ExpLinear, factor: float) -> ExpLinear:
     return g if g.is_zero else g.d_dt().scale(factor)
 
 
-def ck_extend(f0: ExpLinear, p: int, q: int = None, J: int = 40) -> PlaneWaveSeries:
+def ck_extend(f0: ExpLinear, p: int, q: int, J: int = 40) -> PlaneWaveSeries:
     """Unique Dirac-null series extension of the initial datum f(0, y) = f0.
 
     This is the recurrence with D_0 = 0: even-index terms are plain
     (D_j = 0) and odd-index terms are s-multiplied (C_j = 0).
     """
-    if q is None:
-        q = int(np.asarray(f0.s).size)
     return hpw_recurrence(f0, ExpLinear.zero(f0.s), p, q, J)
 
 
@@ -370,9 +368,12 @@ def ck_bessel_form(pt: BiaxialPoint, s) -> Multivector:
 
     Gamma(p/2) [ sum_j (-1)^j |x|^{2j} / (j! 2^{2j} Gamma(p/2+j))
                + (1/2) sum_j (-1)^j |x|^{2j} / (j! 2^{2j} Gamma(p/2+j+1)) x s ]
-    exp(<y, s>), summed adaptively.
+    exp(<y, s>), summed adaptively.  The sums are the Bessel-J series, so
+    |x| is limited to BESSEL_J_MAX_ARG as for bessel_j.
     """
     s = _unit(s)
+    if pt.r > BESSEL_J_MAX_ARG:
+        raise ValueError(f"|x| must lie in [0, {BESSEL_J_MAX_ARG}], got {pt.r}")
     p, dim = pt.p, pt.dim
     r2 = pt.r ** 2
     half_p = 0.5 * p

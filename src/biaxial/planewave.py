@@ -1,12 +1,11 @@
 """Plane waves with x-radial symmetry.
 
 Constructions on the series engine of biaxial.fields (the coefficient
-recurrence determined by the initial pair (C_0, D_0)): the parity split
-into four scalar evaluators, the Gamma-ratio closed coefficients of the
-exponential family and its Bessel-J assembly, the polynomial radialization of
-(<x,t> + i<y,s>)^k (t + i s) over t in S^{p-1}, and the Fourier-kernel
-family with its modified-Bessel closed form.  Every closed form has a
-sphere-quadrature oracle next to it.
+recurrence determined by the initial pair (C_0, D_0)): the Gamma-ratio
+closed coefficients of the exponential family and its Bessel-J assembly,
+the polynomial radialization of (<x,t> + i<y,s>)^k (t + i s) over t in
+S^{p-1}, and the Fourier-kernel family with its modified-Bessel closed
+form.  Every closed form has a sphere-quadrature oracle next to it.
 
 All spherical prefactors use the equatorial measure
 kappa_p = |S^{p-2}| = 2 pi^{(p-1)/2} / Gamma((p-1)/2), the constant the
@@ -15,8 +14,6 @@ zonal-integral oracle actually fixes (see the p = 2 anchors in the tests).
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -26,7 +23,6 @@ from .fields import (
     ExpLinear,
     PlaneWaveSeries,
     _on_radii,
-    _parity_sum,
     _scalar_rows,
     _unit,
     batched_part,
@@ -43,44 +39,6 @@ MAX_POLY_DEGREE = 12
 # The series engine lives in fields; PlaneWaveSeries, hpw_recurrence and
 # the one evaluator, as eval_planewave, stay importable from here.
 eval_planewave = eval_series
-
-
-@dataclass(frozen=True)
-class HPWQuadruple:
-    """Parity split of a plane-wave series into four scalar evaluators.
-
-    F = A + B (x/|x|) + C s + D (x/|x|) s with evaluators of (|x|, t).
-    """
-
-    p: int
-    q: int
-    s: np.ndarray
-    A: callable
-    B: callable
-    C: callable
-    D: callable
-
-    def assemble(self, pt: BiaxialPoint) -> Multivector:
-        dim = pt.dim
-        t = float(np.dot(pt.y, self.s))
-        r = pt.r
-        s_mv = embed_vector(dim, self.p, self.s)
-        out = Multivector.scalar(dim, self.A(r, t)) + self.C(r, t) * s_mv
-        if r > 0.0:
-            e_mv = pt.embed_unit_x()
-            out = out + self.B(r, t) * e_mv + self.D(r, t) * (e_mv * s_mv)
-        return out
-
-
-def planewave_quadruple(series: PlaneWaveSeries) -> HPWQuadruple:
-    """Collect even-index terms into (A, C) and odd-index terms into (B, D)."""
-    return HPWQuadruple(
-        series.p, series.q, series.s,
-        A=partial(_parity_sum, series.C, 0),
-        B=partial(_parity_sum, series.C, 1),
-        C=partial(_parity_sum, series.D, 0),
-        D=partial(_parity_sum, series.D, 1),
-    )
 
 
 def exp_coeffs_closed(j: int, p: int) -> float:

@@ -204,8 +204,7 @@ def _harmonic(k: int, m: int):
     raise ValueError(f"test harmonics cover k in {{0, 1, 2}}, got {k}")
 
 
-def funk_hecke_check(psi, k: int, m: int, sphere: SphereRule = None,
-                     interval: IntervalRule = None, resolution: int = 24):
+def funk_hecke_check(psi, k: int, m: int, resolution: int = 24):
     """Evaluate both sides of the zonal-integral reduction.
 
     lhs: quadrature of psi(<xi, eta>) H_k(eta) over S^{m-1}.
@@ -215,12 +214,8 @@ def funk_hecke_check(psi, k: int, m: int, sphere: SphereRule = None,
     """
     if not 2 <= m <= 6:
         raise ValueError(f"need 2 <= m <= 6, got {m}")
-    sphere = sphere if sphere is not None else sphere_rule(m, resolution)
-    interval = interval if interval is not None else gauss_jacobi_rule(
-        max(resolution, 48), 0.5 * (m - 3.0)
-    )
-    if sphere.dim != m:
-        raise ValueError("sphere rule dimension does not match m")
+    sphere = sphere_rule(m, resolution)
+    interval = gauss_jacobi_rule(max(resolution, 48), 0.5 * (m - 3.0))
     harmonic, xi = _harmonic(k, m)
     proj = sphere.points @ xi
     lhs = float(np.dot(sphere.weights, psi(proj) * harmonic(sphere.points)))

@@ -2,11 +2,10 @@
 
 Gamma, Bessel J and modified Bessel I by power series, Gegenbauer
 polynomials, Pochhammer symbols, and the Gauss hypergeometric function
-with a series branch and a symmetric Euler-integral branch.
+2F1(a, b; 2b; z) with a series branch and a symmetric Euler-integral branch.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +13,13 @@ _TERM_EPS = 1e-16
 _MAX_TERMS = 20000
 
 BESSEL_MAX_ORDER = 10.0
-BESSEL_MAX_ARG = 50.0
+# The alternating J series cancels: against mpmath its absolute error is
+# below 1e-12 up to z = 12 and about 1e-9 at z = 20.  The I series does not.
+BESSEL_J_MAX_ARG = 12.0
+BESSEL_I_MAX_ARG = 50.0
+# Relative error of hyp2f1_symmetric against mpmath over the kernel
+# parameters: at most 5.9e-13 up to z = 0.999, 9.3e-10 at z = 0.9999.
+HYP2F1_MAX_Z = 0.999
 
 
 class ConvergenceError(RuntimeError):
@@ -41,8 +46,9 @@ def pochhammer(a: float, k: int) -> float:
 def _bessel_series(nu: float, z: float, signed: bool) -> float:
     if not 0.0 <= nu <= BESSEL_MAX_ORDER:
         raise ValueError(f"order must lie in [0, {BESSEL_MAX_ORDER}], got {nu}")
-    if not 0.0 <= z <= BESSEL_MAX_ARG:
-        raise ValueError(f"argument must lie in [0, {BESSEL_MAX_ARG}], got {z}")
+    max_arg = BESSEL_J_MAX_ARG if signed else BESSEL_I_MAX_ARG
+    if not 0.0 <= z <= max_arg:
+        raise ValueError(f"argument must lie in [0, {max_arg}], got {z}")
     if z == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     quarter = 0.25 * z * z
@@ -60,12 +66,14 @@ def _bessel_series(nu: float, z: float, signed: bool) -> float:
 
 
 def bessel_j(nu: float, z: float) -> float:
-    """Bessel function of the first kind by its defining power series."""
+    """Bessel function of the first kind by its defining power series,
+    for 0 <= z <= BESSEL_J_MAX_ARG."""
     return _bessel_series(nu, z, signed=True)
 
 
 def bessel_i(nu: float, z: float) -> float:
-    """Modified Bessel function: the same series without alternating signs."""
+    """Modified Bessel function: the same series without alternating signs,
+    for 0 <= z <= BESSEL_I_MAX_ARG."""
     return _bessel_series(nu, z, signed=False)
 
 
@@ -107,22 +115,6 @@ def gegenbauer_normalized(k: int, m: int, t):
     return factor * gegenbauer(k, 0.5 * m - 1.0, t)
 
 
-@dataclass(frozen=True)
-class HypergeometricParams:
-    """Arguments of 2F1(a, b; c; z) on the real evaluation domain used here."""
-
-    a: float
-    b: float
-    c: float
-    z: float
-
-    def __post_init__(self):
-        if self.c <= 0 and float(self.c).is_integer():
-            raise ValueError(f"c must not be a non-positive integer, got {self.c}")
-        if self.z >= 1.0:
-            raise ValueError(f"need z < 1, got {self.z}")
-
-
 def _hyp2f1_series(a: float, b: float, c: float, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     term = np.ones_like(z)
@@ -135,18 +127,15 @@ def _hyp2f1_series(a: float, b: float, c: float, z) -> np.ndarray:
     raise ConvergenceError(f"2F1 series stalled at z_max={float(np.max(z))}")
 
 
-def _hyp2f1_euler(a: float, b: float, c: float, z) -> np.ndarray:
-    # Symmetric Euler integral: valid when c = 2b, with the interval weight
-    # (1 - t^2)^(b-1); singular endpoints (b < 1) are fine for Gauss-Jacobi.
-    if abs(c - 2.0 * b) > 1e-12:
-        raise ValueError(f"Euler branch needs c = 2b, got b={b}, c={c}")
+def _hyp2f1_euler(a: float, b: float, z) -> np.ndarray:
+    # Symmetric Euler integral of 2F1(a, b; 2b; z) for z < 1, with the
+    # interval weight (1 - t^2)^(b-1); singular endpoints (b < 1) are fine
+    # for Gauss-Jacobi.
     from .quadrature import gauss_jacobi_rule
 
     z = np.asarray(z, dtype=np.float64)
     w = z / (2.0 - z)
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    if wmax >= 1.0:
-        raise ValueError("Euler branch needs z < 1")
     # Integrand has a pole at t = 1/w; pick the node count from the
     # Bernstein ellipse through it so accuracy stays near 1e-13.
     inv_w = 1.0 / max(wmax, 1e-6)
@@ -159,39 +148,19 @@ def _hyp2f1_euler(a: float, b: float, c: float, z) -> np.ndarray:
     return const * (1.0 - 0.5 * z) ** (-a) * integral
 
 
-def gauss_2f1(params: HypergeometricParams, method: str = "auto") -> float:
-    """Gauss hypergeometric value on z in [0, 0.999] with c > b > 0.
-
-    method: 'auto' switches from the power series to the Euler-integral
-    quadrature at z = 0.5; 'series' or 'euler' force a branch.
-    """
-    a, b, c, z = params.a, params.b, params.c, params.z
-    if not 0.0 <= z <= 0.999:
-        raise ValueError(f"z must lie in [0, 0.999], got {z}")
-    if b <= 0 or c - b <= 0:
-        raise ValueError(f"need c > b > 0, got b={b}, c={c}")
-    if method == "auto":
-        method = "series" if z <= 0.5 else "euler"
-    if method == "series":
-        return float(_hyp2f1_series(a, b, c, z))
-    if method == "euler":
-        return float(_hyp2f1_euler(a, b, c, z))
-    raise ValueError(f"unknown method {method!r}")
-
-
 def hyp2f1_symmetric(a: float, b: float, z) -> np.ndarray:
-    """Vectorized 2F1(a, b; 2b; z) over an array of z in [0, 1).
+    """Vectorized 2F1(a, b; 2b; z) over an array of z in [0, HYP2F1_MAX_Z].
 
     Series below z = 0.5, Euler-integral quadrature above; this is the
     combination every kernel evaluation uses.
     """
     z = np.asarray(z, dtype=np.float64)
-    if np.any(z < 0.0) or np.any(z >= 1.0):
-        raise ValueError("kernel arguments must lie in [0, 1)")
+    if np.any(z < 0.0) or np.any(z > HYP2F1_MAX_Z):
+        raise ValueError(f"2F1 arguments must lie in [0, {HYP2F1_MAX_Z}]")
     out = np.empty_like(z)
     low = z <= 0.5
     if np.any(low):
         out[low] = _hyp2f1_series(a, b, 2.0 * b, z[low])
     if np.any(~low):
-        out[~low] = _hyp2f1_euler(a, b, 2.0 * b, z[~low])
+        out[~low] = _hyp2f1_euler(a, b, z[~low])
     return out

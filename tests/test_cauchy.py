@@ -7,11 +7,9 @@ from biaxial.algebra import BiaxialPoint, Multivector
 from biaxial.cauchy import (
     FullBallCauchy,
     KernelParams,
-    cauchy_full_ball,
     kernel_I_closed,
     kernel_I_oracle,
     kernel_phi,
-    reconstruct_ab,
     reconstruct_ab_variants,
 )
 from biaxial.fields import constant_field, linear_monogenic_field
@@ -119,7 +117,7 @@ def test_full_ball_constant_is_one():
     field = constant_field(2, 2)
     rule = sphere_rule(4, 24)
     pt = BiaxialPoint(2, 2, np.array([0.3, 0.1]), np.array([-0.2, 0.15]))
-    out = cauchy_full_ball(field.boundary_value, pt, rule)
+    out = FullBallCauchy(field.boundary_value, rule).evaluate(pt)
     assert (out - Multivector.scalar(4, 1.0)).norm_inf < 1e-6
 
 
@@ -152,7 +150,7 @@ def test_corrected_reconstruction_constant_field():
         BiaxialPoint(2, 2, np.array([0.3, 0.0]), np.zeros(2)),
         BiaxialPoint(2, 2, np.array([0.2, 0.1]), np.array([0.15, -0.1])),
     ):
-        a_val, b_val = reconstruct_ab(field, pt, hrule, variant="corrected")
+        a_val, b_val = reconstruct_ab_variants(field, pt, hrule)["corrected"]
         assert (a_val - Multivector.scalar(4, 1.0)).norm_inf < 1e-6
         assert b_val.norm_inf < 1e-6
 
@@ -165,7 +163,7 @@ def test_reduced_variant_misses_constant_field_by_poisson_factor():
     hrule = hemisphere_rule(2, 2, 40)
     r = 0.3
     pt = BiaxialPoint(2, 2, np.array([r, 0.0]), np.zeros(2))
-    a_val, _ = reconstruct_ab(field, pt, hrule, variant="full")
+    a_val, _ = reconstruct_ab_variants(field, pt, hrule)["full"]
     assert complex(a_val.scalar_part).real == pytest.approx(1.0 / (1.0 - r * r), rel=1e-8)
 
 
@@ -179,7 +177,7 @@ def test_corrected_reconstruction_linear_field():
         pt = BiaxialPoint(2, 2, x, y)
         if pt.r < 0.05:
             continue
-        a_val, b_val = reconstruct_ab(field, pt, hrule, variant="corrected")
+        a_val, b_val = reconstruct_ab_variants(field, pt, hrule)["corrected"]
         a_direct = field.A(pt.r, pt.y)
         b_direct = field.B(pt.r, pt.y)
         assert (a_val - a_direct).norm_inf < 1e-5
@@ -191,7 +189,7 @@ def test_corrected_reconstruction_exp_field_and_full_ball_agreement():
     hrule = hemisphere_rule(2, 2, 40)
     oracle = FullBallCauchy(field.boundary_value, sphere_rule(4, 28))
     pt = BiaxialPoint(2, 2, np.array([0.25, 0.1]), np.array([0.15, -0.05]))
-    a_val, b_val = reconstruct_ab(field, pt, hrule, variant="corrected")
+    a_val, b_val = reconstruct_ab_variants(field, pt, hrule)["corrected"]
     a_direct = field.A(pt.r, pt.y)
     b_direct = field.B(pt.r, pt.y)
     assert (a_val - a_direct).norm_inf < 1e-4
@@ -206,7 +204,8 @@ def test_corrected_errors_shrink_with_resolution():
     pt = BiaxialPoint(2, 2, np.array([0.25, 0.1]), np.array([0.15, -0.05]))
     errs = []
     for res in (16, 32):
-        a_val, b_val = reconstruct_ab(field, pt, hemisphere_rule(2, 2, res), "corrected")
+        variants = reconstruct_ab_variants(field, pt, hemisphere_rule(2, 2, res))
+        a_val, b_val = variants["corrected"]
         err = max(
             (a_val - field.A(pt.r, pt.y)).norm_inf,
             (b_val - field.B(pt.r, pt.y)).norm_inf,
@@ -234,8 +233,8 @@ def test_reconstruction_is_zonal_in_x():
     pt1 = BiaxialPoint(2, 2, np.array([0.3, 0.0]), y)
     pt2 = BiaxialPoint(2, 2, np.array([0.0, 0.3]), y)
     for variant in ("full", "corrected"):
-        a1, b1 = reconstruct_ab(field, pt1, hrule, variant)
-        a2, b2 = reconstruct_ab(field, pt2, hrule, variant)
+        a1, b1 = reconstruct_ab_variants(field, pt1, hrule)[variant]
+        a2, b2 = reconstruct_ab_variants(field, pt2, hrule)[variant]
         assert (a1 - a2).norm_inf < 1e-10
         assert (b1 - b2).norm_inf < 1e-10
 
@@ -245,18 +244,13 @@ def test_reconstruct_validates_domain():
     hrule = hemisphere_rule(2, 2, 12)
     far = BiaxialPoint(2, 2, np.array([0.8, 0.0]), np.array([0.5, 0.0]))
     with pytest.raises(ValueError):
-        reconstruct_ab(field, far, hrule)
-    with pytest.raises(ValueError):
-        reconstruct_ab(field, BiaxialPoint(2, 2, np.array([0.2, 0.0]), np.zeros(2)),
-                       hrule, variant="bogus")
+        reconstruct_ab_variants(field, far, hrule)
 
 
 def test_full_ball_rejects_near_boundary():
     field = constant_field(2, 2)
     rule = sphere_rule(4, 16)
     with pytest.raises(ValueError):
-        cauchy_full_ball(
-            field.boundary_value,
-            BiaxialPoint(2, 2, np.array([0.9, 0.2]), np.array([0.2, 0.0])),
-            rule,
+        FullBallCauchy(field.boundary_value, rule).evaluate(
+            BiaxialPoint(2, 2, np.array([0.9, 0.2]), np.array([0.2, 0.0]))
         )

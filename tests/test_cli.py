@@ -207,3 +207,16 @@ def test_over_budget_rule_exits_2_before_allocation(refuse_polar_rules, capsys, 
     assert run(args) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert f"needs {nodes} nodes, above the limit of {quadrature.MAX_SPHERE_NODES}" in error
+
+
+@pytest.mark.parametrize("args, message", [
+    # Two stored terms leave no C_2 coefficient to check.
+    (["verify", "ck", "--J", "1"], "ck suite needs J >= 2, got J=1"),
+    # The Bessel-J series is accurate only up to z = 12.
+    (["eval", "exp-hpw", "--grid-r", "0:40:3"], "argument must lie in [0, 12.0], got 20.0"),
+])
+def test_inputs_beyond_a_limit_exit_2_naming_it(tmp_path, capsys, args, message):
+    out = tmp_path / "never.json"
+    assert run(args + ["--out", str(out)]) == 2
+    assert message in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()

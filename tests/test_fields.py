@@ -226,6 +226,16 @@ def test_ck_bessel_form_at_axis():
     assert (out - expected).norm_inf < 1e-14
 
 
+def test_ck_bessel_form_rejects_beyond_bessel_j_range():
+    # Its sums are the Bessel-J series, which bessel_j limits to z <= 12.
+    from biaxial.planewave import hpw_exp_closed
+
+    edge = BiaxialPoint(2, 2, np.array([12.0, 0.0]), np.zeros(2))
+    assert (ck_bessel_form(edge, S2) - hpw_exp_closed(edge, S2)).norm_inf < 1e-12
+    with pytest.raises(ValueError, match=r"\[0, 12\.0\]"):
+        ck_bessel_form(BiaxialPoint(2, 2, np.array([12.5, 0.0]), np.zeros(2)), S2)
+
+
 def test_vekua_and_dirac_agree_as_solution_tests():
     # Battery of five fields: three solutions, two deliberately broken.
     # Both residual notions must vanish together or fail together.
