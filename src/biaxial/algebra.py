@@ -22,7 +22,7 @@ def _blade_tables(dim: int):
     sign[a, b] is the sign of e_A e_B relative to the canonical blade
     e_{A xor B}: count the generator transpositions needed to merge the
     two factor lists, then flip once more per shared generator since
-    e_i^2 = -1.
+    e_i^2 = -1.  perm[i, k] = i ^ k and gsign[i, k] = sign[i, i ^ k] are its gather form.
     """
     size = 1 << dim
     idx = np.arange(size)
@@ -36,9 +36,11 @@ def _blade_tables(dim: int):
         shifted = shifted >> 1
     swaps += grades[idx[:, None] & idx[None, :]]
     sign = np.where(swaps % 2 == 0, 1, -1).astype(np.int8)
-    sign.setflags(write=False)
-    grades.setflags(write=False)
-    return sign, grades
+    perm = idx[:, None] ^ idx
+    gsign = np.take_along_axis(sign, perm, axis=1)[:, :, None]
+    for table in (sign, grades, perm, gsign):
+        table.setflags(write=False)
+    return sign, grades, perm, gsign
 
 
 def blade_grades(dim: int) -> np.ndarray:
@@ -146,7 +148,9 @@ class Multivector:
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            return _geometric_product(self, other)
+            self._check_same(other)
+            out = _product_columns(self.coeffs[:, None], other.coeffs[:, None], self.dim)
+            return Multivector._wrap(self.dim, out[:, 0])
         return Multivector._wrap(self.dim, self.coeffs * complex(other))
 
     def __rmul__(self, other):
@@ -196,16 +200,24 @@ class Multivector:
         return f"Multivector(dim={self.dim}: {body})"
 
 
-def _geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    a._check_same(b)
-    sign, _ = _blade_tables(a.dim)
-    size = 1 << a.dim
-    idx = np.arange(size)
-    out = np.zeros(size, dtype=np.complex128)
-    bc = b.coeffs
-    for i in np.flatnonzero(a.coeffs):
-        out[i ^ idx] += (a.coeffs[i] * sign[i]) * bc
-    return Multivector._wrap(a.dim, out)
+def _product_columns(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Products of blade-major coefficient columns a, b (2^dim, N): blade k sums
+    (a_i sign[i, i ^ k]) b_{i ^ k} over ascending i, skipping blades zero in all of a."""
+    _, _, perm, gsign = _blade_tables(dim)
+    out = np.zeros(b.shape, dtype=np.complex128)
+    # One column needs no any() reduction, which costs more than a one-blade product.
+    for i in np.flatnonzero(a[:, 0] if a.shape[1] == 1 else a.any(axis=1)).tolist():
+        out += (a[i] * gsign[i]) * b.take(perm[i], axis=0)
+    return out
+
+
+def batch_product(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Row-wise products of (N, 2^dim) coefficient rows; row n equals
+    (Multivector(dim, a[n]) * Multivector(dim, b[n])).coeffs bit for bit."""
+    a, b = (np.asarray(m, dtype=np.complex128) for m in (a, b))
+    if a.shape != b.shape or a.shape[1:] != (1 << dim,):
+        raise ValueError("inconsistent batch shapes")
+    return np.ascontiguousarray(_product_columns(a.T, np.ascontiguousarray(b.T), dim).T)
 
 
 def _vector_bits(x: Multivector):
@@ -225,7 +237,7 @@ def _vector_product_parts(x: Multivector, a: Multivector):
     with the same per-term arithmetic as the full product.
     """
     x._check_same(a)
-    sign, _ = _blade_tables(x.dim)
+    sign = _blade_tables(x.dim)[0]
     size = 1 << x.dim
     idx = np.arange(size)
     lower = np.zeros(size, dtype=np.complex128)
@@ -263,7 +275,7 @@ def batch_vector_mv(components: np.ndarray, mats: np.ndarray, dim: int) -> np.nd
     size = 1 << dim
     if comps.shape[1] != dim or mats.shape[1] != size or comps.shape[0] != mats.shape[0]:
         raise ValueError("inconsistent batch shapes")
-    sign, _ = _blade_tables(dim)
+    sign = _blade_tables(dim)[0]
     idx = np.arange(size)
     out = np.zeros_like(mats)
     for i in range(dim):

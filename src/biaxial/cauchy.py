@@ -144,26 +144,31 @@ def kernel_phi(kp: KernelParams) -> float:
 
 
 def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
-                    rule: SphereRule) -> float:
+                    rule: SphereRule):
     """Direct S^{p-1} quadrature of the kernel integral.
 
     Integrates |x + y - cos(theta) omega - sin(theta) nu|^{-(p+q)} over
     omega; depends on x only through |x|, which the zonal-invariance tests
-    exercise.
+    exercise.  y of shape (q,) gives a float; a stack (K, q) gives the K
+    floats as an array, sharing one pass over the omega nodes.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    ys = np.asarray(y, dtype=np.float64)
     p = x.size
-    q = y.size
+    q = ys.shape[-1]
     if rule.dim != p:
         raise ValueError("oracle rule must live on S^{p-1}")
     c, s = math.cos(theta), math.sin(theta)
     dx = x[None, :] - c * rule.points
-    dy = y - s * np.asarray(nu, dtype=np.float64)
-    dist2 = np.einsum("ij,ij->i", dx, dx) + float(np.dot(dy, dy))
-    if math.sqrt(float(np.min(dist2))) < _MIN_BOUNDARY_DISTANCE:
-        raise ValueError("kernel oracle integrand is near-singular at this node")
-    return float(np.dot(rule.weights, dist2 ** (-0.5 * (p + q))))
+    dx2 = np.einsum("ij,ij->i", dx, dx)
+    values = []
+    for y in ys if ys.ndim == 2 else (ys,):
+        dy = y - s * np.asarray(nu, dtype=np.float64)
+        dist2 = dx2 + float(np.dot(dy, dy))
+        if math.sqrt(float(np.min(dist2))) < _MIN_BOUNDARY_DISTANCE:
+            raise ValueError("kernel oracle integrand is near-singular at this node")
+        values.append(float(np.dot(rule.weights, dist2 ** (-0.5 * (p + q)))))
+    return values[0] if ys.ndim == 1 else np.array(values)
 
 
 def _node_moments(field: AxialField, r: float, y: np.ndarray, theta: np.ndarray,

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BiaxialPoint, Multivector, blade_name, vector_exterior, vector_interior
+from .algebra import (BiaxialPoint, Multivector, batch_product, blade_name, vector_exterior,
+                      vector_interior)
 from .cauchy import (
     BALL_RADIUS_MAX,
     FullBallCauchy,
@@ -51,7 +52,8 @@ from .planewave import (
     radialize_poly,
     radialize_poly_oracle,
 )
-from .quadrature import funk_hecke_check, hemisphere_rule, sphere_area, sphere_rule
+from .quadrature import (_funk_hecke_rules, _funk_hecke_sides, hemisphere_rule, sphere_area,
+                         sphere_rule)
 from .rng import SplitMix64
 
 SUITES = ("algebra", "funkhecke", "vekua", "dirac", "kernel", "cauchy", "planewave", "ck")
@@ -204,38 +206,47 @@ def _reconstruction_errors(field, pt: BiaxialPoint, hrule, oracle) -> dict:
 # -- verification suites ---------------------------------------------------
 
 def _suite_algebra(cfg: RunConfig):
+    # Samplers draw in per-sample order; batches of 20 bound the (20, 2^dim) arrays.
     rng = SplitMix64(cfg.seed)
-    dim = cfg.p + cfg.q
+    p, dim = cfg.p, cfg.p + cfg.q
+    size = 1 << dim
+
+    def products(a: list, b: list) -> list:
+        rows = batch_product([x.coeffs for x in a], [y.coeffs for y in b], dim)
+        return [Multivector(dim, row) for row in rows]
+
+    def anticommutation(n):
+        uv = rng.uniform_array(n * 2 * dim, -1, 1).reshape(n, 2, dim)
+        us, vs = ([Multivector.vector(dim, w) for w in uv[:, j]] for j in (0, 1))
+        anti = [p1 + p2 for p1, p2 in zip(products(us, vs), products(vs, us))]
+        return anti, [Multivector.scalar(dim, -2.0 * float(np.dot(u, v))) for u, v in uv]
+
+    def associativity(n):
+        draws = rng.uniform_array(n * 3 * 2 * size, -1, 1).reshape(3 * n, 2, size)
+        mvs = [Multivector(dim, re + 1j * im) for re, im in draws]
+        a, b, c = mvs[0::3], mvs[1::3], mvs[2::3]
+        return products(products(a, b), c), products(a, products(b, c))
+
+    def interior_plus_exterior(n):
+        draws = rng.uniform_array(n * 2 * (dim + size), -1, 1).reshape(n, -1)
+        xs = [Multivector.vector(dim, d[:dim] + 1j * d[dim:2 * dim]) for d in draws]
+        ms = [Multivector(dim, d[2 * dim:2 * dim + size] + 1j * d[2 * dim + size:]) for d in draws]
+        split = [vector_interior(x, m) + vector_exterior(x, m) for x, m in zip(xs, ms)]
+        return split, products(xs, ms)
+
+    def embedded_vector_square(n):
+        xy = rng.uniform_array(n * dim, -1, 1).reshape(n, dim)
+        vs = [BiaxialPoint(p, cfg.q, w[:p], w[p:]).embed() for w in xy]
+        norms = [-(float(np.dot(w[:p], w[:p])) + float(np.dot(w[p:], w[p:]))) for w in xy]
+        return products(vs, vs), [Multivector.scalar(dim, v) for v in norms]
+
     checks = []
-    worst = 0.0
-    for _ in range(200):
-        u = rng.uniform_array(dim, -1, 1)
-        v = rng.uniform_array(dim, -1, 1)
-        anti = Multivector.vector(dim, u) * Multivector.vector(dim, v) \
-            + Multivector.vector(dim, v) * Multivector.vector(dim, u)
-        expected = Multivector.scalar(dim, -2.0 * float(np.dot(u, v)))
-        worst = max(worst, _rel(anti, expected))
-    checks.append(_check("anticommutation", worst, 1e-12))
-    worst = 0.0
-    for _ in range(100):
-        a, b, c = (Multivector(dim, rng.complex_coeffs(1 << dim)) for _ in range(3))
-        worst = max(worst, _rel((a * b) * c, a * (b * c)))
-    checks.append(_check("associativity", worst, 1e-12))
-    worst = 0.0
-    for _ in range(200):
-        x = Multivector.vector(dim, rng.complex_coeffs(dim))
-        a = Multivector(dim, rng.complex_coeffs(1 << dim))
-        worst = max(worst, _rel(vector_interior(x, a) + vector_exterior(x, a), x * a))
-    checks.append(_check("interior_plus_exterior", worst, 1e-12))
-    worst = 0.0
-    for _ in range(100):
-        x = rng.uniform_array(cfg.p, -1, 1)
-        y = rng.uniform_array(cfg.q, -1, 1)
-        v = BiaxialPoint(cfg.p, cfg.q, x, y).embed()
-        sq = v * v
-        expected = Multivector.scalar(dim, -(float(np.dot(x, x)) + float(np.dot(y, y))))
-        worst = max(worst, _rel(sq, expected))
-    checks.append(_check("embedded_vector_square", worst, 1e-12))
+    for sampler, count in ((anticommutation, 200), (associativity, 100),
+                           (interior_plus_exterior, 200), (embedded_vector_square, 100)):
+        worst = 0.0
+        for _ in range(count // 20):
+            worst = max([worst] + [_rel(g, e) for g, e in zip(*sampler(20))])
+        checks.append(_check(sampler.__name__, worst, 1e-12))
     return checks
 
 
@@ -248,20 +259,16 @@ _PSI_BATTERY = (
 )
 
 
-def _funkhecke_resolution(m: int, res: int) -> int:
-    # Product-rule node counts grow like res^(m-1); cap the high dims.
-    return min(res, {2: res, 3: 48, 4: 32, 5: 20}[m])
-
-
 def _suite_funkhecke(cfg: RunConfig):
     m = cfg.p
     if m < 2 or m > 5:
         raise ConfigError("funkhecke suite needs 2 <= p <= 5")
-    res = _funkhecke_resolution(m, cfg.res)
+    # Product-rule node counts grow like res^(m-1); cap the high dims.
+    rules = _funk_hecke_rules(m, min(cfg.res, {2: cfg.res, 3: 48, 4: 32, 5: 20}[m]))
     checks = []
     for k in (0, 1, 2):
         for name, psi in _PSI_BATTERY:
-            lhs, rhs = funk_hecke_check(psi, k, m, resolution=res)
+            lhs, rhs = _funk_hecke_sides(psi, k, m, *rules)
             err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
             checks.append(_check(f"funkhecke_m{m}_k{k}_{name}", err, 1e-8))
     return checks
@@ -299,39 +306,30 @@ def _suite_dirac(cfg: RunConfig):
     return checks
 
 
-def _kernel_grid(cfg: RunConfig):
-    nu = np.zeros(cfg.q)
-    nu[0] = 1.0
-    yhat = np.zeros(cfg.q)
-    yhat[-1] = 1.0
-    for r in np.linspace(0.0, 0.55, 5):
-        for theta in np.linspace(0.0, 0.5 * math.pi, 5):
-            for ylen in (0.0, 0.2, 0.4):
-                yield float(r), float(theta), ylen * yhat, nu
-
-
-def _kernel_pair(cfg: RunConfig, rule, r: float, theta: float, y, nu):
-    """The node's KernelParams, closed kernel moment I and its S^{p-1}
-    quadrature oracle at x = r e_1."""
-    kp = KernelParams(cfg.p, cfg.q, r, y, theta, nu)
-    closed = kernel_I_closed(kp)
+def _kernel_pairs(cfg: RunConfig, rule, r: float, theta: float, ys, nu):
+    """(KernelParams, closed I, S^{p-1} oracle at x = r e_1) for each y of the stack ys."""
+    kps = [KernelParams(cfg.p, cfg.q, r, y, theta, nu) for y in ys]
+    closed = [kernel_I_closed(kp) for kp in kps]
     x = np.zeros(cfg.p)
     x[0] = r
-    return kp, closed, kernel_I_oracle(x, y, theta, nu, rule)
+    return list(zip(kps, closed, kernel_I_oracle(x, ys, theta, nu, rule).tolist()))
 
 
 def _suite_kernel(cfg: RunConfig):
     if cfg.q < 2:
         raise ConfigError("kernel suite needs q >= 2")
     rule = sphere_rule(cfg.p, min(cfg.res, 64))
+    nu = np.eye(cfg.q)[0]
+    ys = np.outer((0.0, 0.2, 0.4), np.eye(cfg.q)[-1])
     worst = 0.0
     anchor = 0.0
-    for r, theta, y, nu in _kernel_grid(cfg):
-        kp, closed, oracle = _kernel_pair(cfg, rule, r, theta, y, nu)
-        worst = max(worst, abs(closed - oracle) / max(abs(closed), abs(oracle)))
-        if r == 0.0:
-            expected = sphere_area(cfg.p) * kp.tau ** (-0.5 * (cfg.p + cfg.q))
-            anchor = max(anchor, abs(closed - expected) / expected)
+    for r in np.linspace(0.0, 0.55, 5):
+        for theta in np.linspace(0.0, 0.5 * math.pi, 5):
+            for kp, closed, oracle in _kernel_pairs(cfg, rule, float(r), float(theta), ys, nu):
+                worst = max(worst, abs(closed - oracle) / max(abs(closed), abs(oracle)))
+                if r == 0.0:
+                    expected = sphere_area(cfg.p) * kp.tau ** (-0.5 * (cfg.p + cfg.q))
+                    anchor = max(anchor, abs(closed - expected) / expected)
     return [
         _check(f"kernel_closed_vs_oracle_p{cfg.p}_q{cfg.q}", worst, 1e-8),
         _check("kernel_r0_equals_sphere_measure", anchor, 1e-12),
@@ -514,7 +512,7 @@ def _cmd_kernel_table(cfg: RunConfig, args):
     failed = False
     for r in rs:
         for theta in thetas:
-            _, closed, oracle = _kernel_pair(cfg, rule, float(r), float(theta), y, nu)
+            [(_, closed, oracle)] = _kernel_pairs(cfg, rule, float(r), float(theta), y[None], nu)
             diff = abs(closed - oracle)
             failed = failed or diff > args.tol * max(1.0, abs(closed))
             rows.append([float(r), float(theta), closed, oracle, diff])

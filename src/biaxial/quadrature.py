@@ -214,8 +214,15 @@ def funk_hecke_check(psi, k: int, m: int, resolution: int = 24):
     """
     if not 2 <= m <= 6:
         raise ValueError(f"need 2 <= m <= 6, got {m}")
-    sphere = sphere_rule(m, resolution)
-    interval = gauss_jacobi_rule(max(resolution, 48), 0.5 * (m - 3.0))
+    return _funk_hecke_sides(psi, k, m, *_funk_hecke_rules(m, resolution))
+
+
+def _funk_hecke_rules(m: int, resolution: int):
+    return sphere_rule(m, resolution), gauss_jacobi_rule(max(resolution, 48), 0.5 * (m - 3.0))
+
+
+def _funk_hecke_sides(psi, k: int, m: int, sphere: SphereRule, interval: IntervalRule):
+    """Both sides of funk_hecke_check on the rules of _funk_hecke_rules."""
     harmonic, xi = _harmonic(k, m)
     proj = sphere.points @ xi
     lhs = float(np.dot(sphere.weights, psi(proj) * harmonic(sphere.points)))

@@ -28,7 +28,15 @@ class SplitMix64:
         return lo + (hi - lo) * (u * 2.0 ** -53)
 
     def uniform_array(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(n)])
+        """The next n uniform() draws; the state advances by n (uint64 wraps like the masks)."""
+        if n < 16:  # below 16 draws numpy's per-call cost exceeds the loop's
+            return np.array([self.uniform(lo, hi) for _ in range(n)])
+        z = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA + self._state
+        self._state = (self._state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> 30)) * _MIX1
+        z = (z ^ (z >> 27)) * _MIX2
+        u = (z ^ (z >> 31)) >> 11
+        return lo + (hi - lo) * (u.astype(np.float64) * 2.0 ** -53)
 
     def unit_vector(self, d: int) -> np.ndarray:
         # Rejection keeps the direction distribution shape-independent of d.

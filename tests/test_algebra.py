@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import cli_reference as ref
 from biaxial.algebra import (
     BiaxialPoint,
     Multivector,
+    batch_product,
     batch_vector_mv,
+    blade_grades,
     blade_name,
     vector_exterior,
     vector_interior,
@@ -170,6 +176,46 @@ def test_batch_vector_mv_matches_scalar_path():
     for row in range(n):
         direct = Multivector.vector(dim, comps[row]) * Multivector(dim, mats[row])
         np.testing.assert_allclose(out[row], direct.coeffs, atol=1e-13)
+
+
+@st.composite
+def product_batches(draw):
+    """(dim, a, b): N coefficient rows per factor, with some blade columns of
+    a zero in every row, some rows of a or b all zero and some rows of a
+    pure vectors."""
+    dim = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 5))
+    shape = (n, 1 << dim)
+    part = st.floats(-4.0, 4.0, allow_nan=False)
+    a, b = (draw(arrays(np.float64, shape, elements=part))
+            + 1j * draw(arrays(np.float64, shape, elements=part)) for _ in range(2))
+    a[:, draw(arrays(np.bool_, shape[1]))] = 0.0
+    a[draw(arrays(np.bool_, n))] = 0.0
+    b[draw(arrays(np.bool_, n))] = 0.0
+    a[np.ix_(draw(arrays(np.bool_, n)), blade_grades(dim) != 1)] = 0.0
+    return dim, a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_batches())
+def test_batch_product_rows_are_the_per_pair_product(batch):
+    dim, a, b = batch
+    out = batch_product(a, b, dim)
+    assert out.shape == a.shape and out.dtype == np.complex128
+    for n in range(a.shape[0]):
+        want = ref._geometric_product(ref.Multivector(dim, a[n]), ref.Multivector(dim, b[n]))
+        assert out[n].tobytes() == want.coeffs.tobytes()
+        one_row = Multivector(dim, a[n]) * Multivector(dim, b[n])
+        assert one_row.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_batch_product_rejects_mismatched_rows():
+    with pytest.raises(ValueError, match="inconsistent batch shapes"):
+        batch_product(np.zeros((2, 4)), np.zeros((3, 4)), 2)
+    with pytest.raises(ValueError, match="inconsistent batch shapes"):
+        batch_product(np.zeros((2, 8)), np.zeros((2, 8)), 2)
+    with pytest.raises(ValueError, match="inconsistent batch shapes"):
+        batch_product(np.zeros(4), np.zeros(4), 2)
 
 
 def test_blade_names():

@@ -69,6 +69,36 @@ def test_kernel_oracle_zonal_invariance():
     assert i1 == pytest.approx(i2, rel=1e-10)
 
 
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (4, 4)])
+def test_kernel_oracle_stack_returns_the_per_y_floats(p, q):
+    rule = sphere_rule(p, 24)
+    nu = np.eye(q)[0]
+    x = 0.3 * np.eye(p)[0]
+    ys = SplitMix64(5).uniform_array(4 * q, -0.3, 0.3).reshape(4, q)
+    stacked = kernel_I_oracle(x, ys, 0.8, nu, rule)
+    singles = [kernel_I_oracle(x, y, 0.8, nu, rule) for y in ys]
+    assert isinstance(singles[0], float)
+    assert stacked.shape == (4,) and stacked.dtype == np.float64
+    assert stacked.tobytes() == np.array(singles).tobytes()
+    assert kernel_I_oracle(x, ys[:1], 0.8, nu, rule).tobytes() == stacked[:1].tobytes()
+
+
+def test_kernel_oracle_stack_keeps_the_singular_and_rule_checks():
+    # At theta = pi/2 and x = 0 the integrand is singular where y = nu.
+    rule = sphere_rule(2, 16)
+    x = np.zeros(2)
+    fine = np.array([0.1, -0.2])
+    with pytest.raises(ValueError, match="near-singular") as single:
+        kernel_I_oracle(x, NU, 0.5 * math.pi, NU, rule)
+    for stack in ([NU, fine, fine], [fine, NU, fine], [fine, fine, NU]):
+        with pytest.raises(ValueError, match="near-singular") as stacked:
+            kernel_I_oracle(x, np.array(stack), 0.5 * math.pi, NU, rule)
+        assert str(stacked.value) == str(single.value)
+    for y in (fine, np.array([fine, fine])):
+        with pytest.raises(ValueError, match="oracle rule must live on S"):
+            kernel_I_oracle(np.zeros(3), y, 0.4, NU, rule)
+
+
 @pytest.mark.parametrize("pq", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_kernel_closed_matches_oracle_grid(pq):
     p, q = pq

@@ -1,0 +1,31 @@
+"""The batched verify suites against the per-sample loops they replaced.
+
+cli_reference.py holds the former algebra, kernel and Funk-Hecke suites
+with the scalar generator, the per-pair product, the single-y oracle and
+the per-call Funk-Hecke rules.  Every measured value must come out bit
+for bit, so the suites' reports stay byte-identical.
+"""
+
+import pytest
+
+import cli_reference as ref
+from biaxial import cli
+
+CASES = [(suite, p, q) for suite in ("algebra", "kernel", "funkhecke")
+         for p, q in ((2, 2), (3, 2), (4, 4))] + [("funkhecke", 5, 2)]
+
+
+def bits(checks):
+    """Checks with every float replaced by its exact hex form."""
+    return [{key: value.hex() if isinstance(value, float) else value
+             for key, value in check.items()} for check in checks]
+
+
+@pytest.mark.parametrize("seed", [1, 2024])
+@pytest.mark.parametrize("suite,p,q", CASES)
+def test_suite_matches_per_sample_reference(suite, p, q, seed):
+    argv = ["verify", suite, "--p", str(p), "--q", str(q), "--seed", str(seed)]
+    cfg = cli._build_config(cli.build_parser().parse_args(argv))
+    got = cli._SUITE_RUNNERS[suite](cfg)
+    want = ref.SUITES[suite](cfg)
+    assert bits(got) == bits(want)
