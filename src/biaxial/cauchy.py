@@ -4,8 +4,12 @@ The sphere of R^{p+q} splits as S^{p-1} x S^{q-1} x [0, pi/2]; the inner
 integral over S^{p-1} of the Cauchy kernel against boundary data reduces
 to two zonal moments of (tau - 2 r cos(theta) u)^{-(p+q)/2}:
 
-  I   - the plain moment, with a closed hypergeometric form,
-  Phi - the first-order moment (weighted by u), evaluated by quadrature.
+  I   - the plain moment, C (tau + c2)^{-a} 2F1(a, b; 2b; z),
+  Phi - the u-weighted moment, C (a/p) c2 (tau + c2)^{-a-1} 2F1(a+1, b+1; 2b+2; z),
+
+with a = (p+q)/2, b = (p-1)/2, c2 = 2 r cos(theta), z = 2 c2/(tau + c2)
+and one constant C; both follow from the Euler integral of 2F1 (DLMF
+15.6.1, 15.5.1, 15.8).
 
 reconstruct_ab_variants assembles three variants of the reduced integral:
 
@@ -31,12 +35,11 @@ import numpy as np
 
 from .algebra import BiaxialPoint, Multivector, batch_vector_mv
 from .fields import AxialField
-from .quadrature import HemisphereRule, SphereRule, gauss_jacobi_rule, sphere_area
+from .quadrature import HemisphereRule, SphereRule, sphere_area
 from .special import hyp2f1_symmetric
 
 BALL_RADIUS_MAX = 0.9
 _MIN_BOUNDARY_DISTANCE = 0.05
-_PHI_NODES = 96
 # Hemisphere nodes per array pass; bounds the (nodes x 2^dim) and
 # (nodes x Jacobi) work arrays for fine rules.
 _NODE_BLOCK = 4096
@@ -57,26 +60,29 @@ def _node_geometry(r: float, y: np.ndarray, theta: np.ndarray, nu: np.ndarray):
     c = np.cos(theta)
     s = np.sin(theta)
     tau = r ** 2 + c * c + np.sum((y - s[:, None] * nu) ** 2, axis=1)
-    return tau, 2.0 * r * c
+    return tau, 2.0 * r * np.maximum(c, 0.0)  # 0 in the slack past pi/2
 
 
-def _kernel_I(p: int, q: int, tau, c2):
-    """Closed moment I from tau and c2; floats or equal-shape arrays."""
+def _moment_args(p: int, q: int, tau, c2):
+    """a, b, z and the constant C shared by the closed moments I and Phi."""
     a = 0.5 * (p + q)
     b = 0.5 * (p - 1.0)
     z = 2.0 * c2 / (tau + c2)
     const = sphere_area(p - 1) * 2.0 ** (p - 2) * math.gamma(b) ** 2 / math.gamma(p - 1.0)
+    return a, b, z, const
+
+
+def _kernel_I(p: int, q: int, tau, c2):
+    """Closed moment I from tau and c2; floats or equal-shape arrays."""
+    a, b, z, const = _moment_args(p, q, tau, c2)
     return const * (tau + c2) ** (-a) * hyp2f1_symmetric(a, b, z)
 
 
-def _kernel_phi(p: int, q: int, r: float, tau, c2):
-    """First-order moment Phi from tau and c2; floats or equal-shape arrays."""
-    if r == 0.0:
-        return np.zeros_like(tau)
-    rule = gauss_jacobi_rule(_PHI_NODES, 0.5 * (p - 3.0))
-    u = rule.nodes
-    vals = u * (np.expand_dims(tau, -1) - np.expand_dims(c2, -1) * u) ** (-0.5 * (p + q))
-    return sphere_area(p - 1) * (vals @ rule.weights)
+def _kernel_phi(p: int, q: int, tau, c2):
+    """Closed moment Phi from tau and c2, 0.0 where c2 = 0; floats or arrays."""
+    a, b, z, const = _moment_args(p, q, tau, c2)
+    return (const * (a / p) * c2 * (tau + c2) ** (-(a + 1.0))
+            * hyp2f1_symmetric(a + 1.0, b + 1.0, z))
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,7 @@ class KernelParams:
 
     @property
     def c2(self) -> float:
-        return 2.0 * self.r * math.cos(self.theta)
+        return 2.0 * self.r * max(math.cos(self.theta), 0.0)  # 0 in the slack past pi/2
 
     @property
     def z(self) -> float:
@@ -136,11 +142,12 @@ def kernel_I_closed(kp: KernelParams) -> float:
 def kernel_phi(kp: KernelParams) -> float:
     """First-order zonal moment kappa_p int u (1-u^2)^{(p-3)/2} K(u) du.
 
-    K(u) = (tau - 2 r cos(theta) u)^{-(p+q)/2}; the moment vanishes at
-    r = 0 and multiplies the omega-odd boundary terms in the corrected
-    reconstruction.
+    K(u) = (tau - 2 r cos(theta) u)^{-(p+q)/2}.  Closed form: one
+    2F1(a+1, b+1; 2b+2; z) on kernel_I_closed's z (DLMF 15.6.1, 15.5.1,
+    15.8; module docstring).  It is exactly 0.0 at r = 0 and multiplies
+    the omega-odd boundary terms in the corrected reconstruction.
     """
-    return float(_kernel_phi(kp.p, kp.q, kp.r, kp.tau, kp.c2))
+    return float(_kernel_phi(kp.p, kp.q, kp.tau, kp.c2))
 
 
 def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
@@ -184,7 +191,7 @@ def _node_moments(field: AxialField, r: float, y: np.ndarray, theta: np.ndarray,
     b_b = field.B(c, s[:, None] * nu)
     tau, c2 = _node_geometry(r, y, theta, nu)
     w_i = w * _kernel_I(field.p, field.q, tau, c2)
-    w_phi = w * _kernel_phi(field.p, field.q, r, tau, c2)
+    w_phi = w * _kernel_phi(field.p, field.q, tau, c2)
     weights_a = np.vstack([w_i, w_phi * c, (w_i * s) * nu.T])
     weights_b = np.vstack([w_phi, w_i * c, (w_phi * s) * nu.T])
     return np.stack([weights_a @ a_b, weights_b @ b_b])

@@ -78,11 +78,6 @@ def _exp_profile(p: int, r: float, k: int) -> float:
     return scale * bessel_j(half_p - 1.0 + k, r)
 
 
-def _exp_profiles(p: int, r: float):
-    """Both radial coefficients of the exponential family's closed form."""
-    return _exp_profile(p, r, 0), _exp_profile(p, r, 1)
-
-
 def hpw_exp_closed(pt: BiaxialPoint, s) -> Multivector:
     """Bessel-J closed form of the exponential plane wave.
 
@@ -93,7 +88,7 @@ def hpw_exp_closed(pt: BiaxialPoint, s) -> Multivector:
     s = _unit(s)
     dim = pt.dim
     phase = math.exp(float(np.dot(pt.y, s)))
-    c, d = _exp_profiles(pt.p, pt.r)
+    c, d = _exp_profile(pt.p, pt.r, 0), _exp_profile(pt.p, pt.r, 1)
     out = Multivector.scalar(dim, c * phase)
     if pt.r > 0.0:
         es = pt.embed_unit_x() * embed_vector(dim, pt.p, s)

@@ -122,13 +122,12 @@ def sphere_rule(d: int, resolution: int = 64) -> SphereRule:
     sub = sphere_rule(d - 1, resolution)
     u = polar.nodes
     sin_part = np.sqrt(1.0 - u ** 2)
-    pts = np.empty((u.size * sub.points.shape[0], d))
-    pts[:, 0] = np.repeat(u, sub.points.shape[0])
-    pts[:, 1:] = np.repeat(sin_part, sub.points.shape[0])[:, None] * np.tile(
-        sub.points, (u.size, 1)
-    )
-    w = np.repeat(polar.weights, sub.weights.size) * np.tile(sub.weights, u.size)
-    return SphereRule(d, pts, w)
+    # Broadcast into one preallocated array, so the build peaks near the kept rule.
+    pts = np.empty((u.size, sub.weights.size, d))
+    pts[:, :, 0] = u[:, None]
+    np.multiply(sin_part[:, None, None], sub.points, out=pts[:, :, 1:])
+    w = np.outer(polar.weights, sub.weights).ravel()
+    return SphereRule(d, pts.reshape(-1, d), w)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ BESSEL_MAX_ORDER = 10.0
 # below 1e-12 up to z = 12 and about 1e-9 at z = 20.  The I series does not.
 BESSEL_J_MAX_ARG = 12.0
 BESSEL_I_MAX_ARG = 50.0
-# Relative error of hyp2f1_symmetric against mpmath over the kernel
-# parameters: at most 5.9e-13 up to z = 0.999, 9.3e-10 at z = 0.9999.
+# Relative error of hyp2f1_symmetric against mpmath over the kernel triples
+# (a, b), (a+1, b+1): at most 8.7e-13 up to z = 0.999, 7.8e-9 at z = 0.9999.
 HYP2F1_MAX_Z = 0.999
 
 

@@ -4,7 +4,9 @@ the full-sphere Cauchy sum.
 These are the straightforward loops the batched library code replaced:
 one hemisphere node (or one boundary node) at a time, through the scalar
 field calls, KernelParams and the scalar kernel API.  The tests hold the
-array implementations in biaxial.cauchy to these references.
+array implementations in biaxial.cauchy to these references.  Beside them
+is the fixed 96-node Gauss-Jacobi integral that evaluated the moment Phi
+before its closed form.
 """
 
 import math
@@ -13,7 +15,9 @@ import numpy as np
 
 from biaxial.algebra import Multivector, batch_vector_mv, embed_vector
 from biaxial.cauchy import KernelParams, kernel_I_closed, kernel_phi
-from biaxial.quadrature import sphere_area
+from biaxial.quadrature import gauss_jacobi_rule, sphere_area
+
+PHI_NODES = 96
 
 
 def reconstruct_ab_variants_per_node(field, pt, hrule):
@@ -77,3 +81,15 @@ def full_ball_per_node(f_point, pts, rule):
         integrand = batch_vector_mv(diff, eta_f, dim) * scale[:, None]
         out.append(Multivector(dim, integrand.sum(axis=0) / sphere_area(dim)))
     return out
+
+
+def kernel_phi_quadrature(p, q, r, tau, c2):
+    """Phi by the 96-node Gauss-Jacobi rule for (1-u^2)^{(p-3)/2}; floats or
+    equal-shape arrays.  Accurate to about 1e-14 for |x+y| <= 0.5; its error
+    grows to 7.7e-6 relative at |x+y| = 0.9."""
+    if r == 0.0:
+        return np.zeros_like(tau)
+    rule = gauss_jacobi_rule(PHI_NODES, 0.5 * (p - 3.0))
+    u = rule.nodes
+    vals = u * (np.expand_dims(tau, -1) - np.expand_dims(c2, -1) * u) ** (-0.5 * (p + q))
+    return sphere_area(p - 1) * (vals @ rule.weights)

@@ -42,7 +42,7 @@ from biaxial.planewave import (
     poly_coeff_a,
     radialize_poly,
     radialize_poly_oracle,
-    _exp_profiles,
+    _exp_profile,
 )
 from biaxial.quadrature import funk_hecke_check, hemisphere_rule, sphere_rule
 from biaxial.rng import SplitMix64
@@ -190,7 +190,7 @@ def test_criterion_4_modified_dirac_correspondence():
         s_small = Multivector.vector(q + 1, [0.0, 1.0, 0.0])
 
         def exp_small(r, y):
-            c, d = _exp_profiles(p, r)
+            c, d = _exp_profile(p, r, 0), _exp_profile(p, r, 1)
             phase = math.exp(float(np.dot(y, S2)))
             return (c * phase) * Multivector.scalar(q + 1, 1.0) + (d * phase) * (e_mv * s_small)
 

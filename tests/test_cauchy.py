@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biaxial.algebra import BiaxialPoint, Multivector
 from biaxial.cauchy import (
@@ -14,8 +17,10 @@ from biaxial.cauchy import (
 )
 from biaxial.fields import constant_field, linear_monogenic_field
 from biaxial.planewave import exp_hpw_axial_field
-from biaxial.quadrature import hemisphere_rule, sphere_area, sphere_rule
+from biaxial.quadrature import HemisphereRule, hemisphere_rule, sphere_area, sphere_rule
 from biaxial.rng import SplitMix64
+
+from per_node_reference import kernel_phi_quadrature
 
 S2 = np.array([1.0, 0.0])
 NU = np.array([0.0, 1.0])
@@ -136,6 +141,91 @@ def test_kernel_phi_vanishes_at_axis_and_matches_oracle_moment():
     proj = rule.points @ xi
     oracle = float(np.dot(rule.weights, proj * dist2 ** (-0.5 * (p + q))))
     assert kernel_phi(kp) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_kernels_take_theta_in_the_rounding_slack_above_half_pi():
+    # KernelParams admits theta up to pi/2 + 1e-12, where cos(theta) < 0 would
+    # put z below the 2F1 range.
+    y = np.array([0.1, 0.0])
+    edge = KernelParams(2, 2, 0.3, y, 0.5 * math.pi, NU)
+    past = KernelParams(2, 2, 0.3, y, 0.5 * math.pi + 5e-13, NU)
+    assert past.c2 == 0.0
+    assert kernel_I_closed(past) == pytest.approx(kernel_I_closed(edge), rel=1e-15)
+    assert kernel_phi(past) == 0.0
+    assert abs(kernel_phi(edge)) < 1e-15
+    # The same slack in a hemisphere rule's theta nodes.
+    rule = hemisphere_rule(2, 2, 8)
+    theta = rule.theta_nodes.copy()
+    theta[-1] = 0.5 * math.pi + 5e-13
+    slack = HemisphereRule(2, 2, theta, rule.theta_weights, rule.nu, 8)
+    pt = BiaxialPoint(2, 2, np.array([0.3, 0.0]), y)
+    got = reconstruct_ab_variants(constant_field(2, 2), pt, slack)["corrected"]
+    assert got[0].coeffs[0].real == pytest.approx(1.0, abs=1e-3)
+
+
+def phi_mpmath(kp):
+    """Phi by mpmath.quad of the moment, folded onto [0, 1] as
+    u (1-u^2)^{(p-3)/2} ((tau - c2 u)^-a - (tau + c2 u)^-a); the working
+    precision grows with the digits that difference cancels."""
+    tau, c2 = kp.tau, kp.c2
+    digits = 30 + max(0, math.ceil(-math.log10(c2 / tau)))
+    with mpmath.workdps(digits):
+        t, c = mpmath.mpf(tau), mpmath.mpf(c2)
+        beta = mpmath.mpf(kp.p - 3) / 2
+        a = mpmath.mpf(kp.p + kp.q) / 2
+
+        def moment(u):
+            return u * (1 - u * u) ** beta * ((t - c * u) ** -a - (t + c * u) ** -a)
+
+        return float(sphere_area(kp.p - 1) * mpmath.quad(moment, [0, 1]))
+
+
+def unit_vectors(q):
+    return st.lists(st.floats(-1.0, 1.0), min_size=q, max_size=q).map(np.array).filter(
+        lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+
+
+@st.composite
+def kernel_points(draw):
+    p = draw(st.integers(2, 6))
+    q = draw(st.integers(2, 8 - p))
+    # |x+y| = rho, split between r = |x| and |y| by the angle alpha.
+    rho = draw(st.just(0.0) | st.floats(1e-12, 0.8999999))
+    alpha = draw(st.floats(0.0, 0.5 * math.pi))
+    theta = draw(st.floats(0.0, 0.5 * math.pi))
+    y = rho * math.sin(alpha) * draw(unit_vectors(q))
+    return KernelParams(p, q, rho * math.cos(alpha), y, theta, draw(unit_vectors(q)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kp=kernel_points())
+def test_kernel_phi_matches_mpmath(kp):
+    got = kernel_phi(kp)
+    if kp.c2 == 0.0:
+        assert got == 0.0
+        return
+    ref = phi_mpmath(kp)
+    assert abs(got - ref) <= 1e-12 * abs(ref), (kp.p, kp.q, kp.r, kp.theta, got, ref)
+
+
+def test_kernel_phi_matches_96_node_quadrature_where_it_is_accurate():
+    # The closed form against the Phi quadrature it replaced, for |x+y| <= 0.5
+    # where 96 nodes resolve the kernel's near pole.  theta stops short of
+    # pi/2, where c2 -> 0 and the rule's odd sum cancels to rounding noise.
+    for p, q in ((2, 2), (3, 2), (2, 3), (4, 3), (5, 3), (2, 6), (4, 4)):
+        nu = np.zeros(q)
+        nu[-1] = 1.0
+        yhat = np.zeros(q)
+        yhat[0] = 1.0
+        for r in (0.0, 0.05, 0.25, 0.5):
+            for ylen in (0.0, 0.3):
+                if math.hypot(r, ylen) > 0.5:
+                    continue
+                for theta in np.linspace(0.0, 1.5, 5):
+                    kp = KernelParams(p, q, r, ylen * yhat, float(theta), nu)
+                    ref = float(kernel_phi_quadrature(p, q, r, kp.tau, kp.c2))
+                    got = kernel_phi(kp)
+                    assert abs(got - ref) <= 1e-12 * abs(ref), (p, q, r, ylen, theta)
 
 
 def test_kernel_rejects_boundary_points():

@@ -309,14 +309,14 @@ def test_lift_axial_is_algebra_map():
 
 def test_modified_dirac_correspondence_exp_field():
     # Radial A + e B picture against the ambient first-order operator.
-    from biaxial.planewave import _exp_profiles
+    from biaxial.planewave import _exp_profile
 
     p, q = 3, 2
     e_mv = Multivector.basis_vector(q + 1, 1)
     s_small = Multivector.vector(q + 1, [0.0, 1.0, 0.0])
 
     def small_field(r, y):
-        c, d = _exp_profiles(p, r)
+        c, d = _exp_profile(p, r, 0), _exp_profile(p, r, 1)
         phase = math.exp(float(np.dot(y, S2)))
         return (c * phase) * Multivector.scalar(q + 1, 1.0) + (d * phase) * (e_mv * s_small)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from biaxial.quadrature import (
     sphere_area,
     sphere_rule,
 )
+
+from quadrature_reference import sphere_rule_repeat_tile
 
 
 def test_sphere_area_values():
@@ -210,3 +213,25 @@ def test_sphere_rule_node_budget_is_checked_before_allocation(refuse_polar_rules
 def test_sphere_rule_budget_admits_the_finest_cli_rule():
     rule = sphere_rule(4, 96)
     assert rule.points.shape == (96 ** 3, 4)
+
+
+@pytest.mark.parametrize("d, res", [(1, 8), (2, 16), (3, 2), (3, 64), (4, 48), (5, 20), (6, 8)])
+def test_sphere_rule_matches_repeat_tile_builder_bit_for_bit(d, res):
+    rule = sphere_rule(d, res)
+    ref = sphere_rule_repeat_tile(d, res)
+    assert np.array_equal(rule.points, ref.points)
+    assert np.array_equal(rule.weights, ref.weights)
+
+
+def test_sphere_rule_peak_memory_is_close_to_what_it_keeps():
+    # Building in place allocates little beyond the kept points and weights;
+    # repeat/tile copies peaked at 2.2x.
+    sphere_rule(4, 48)  # Jacobi factors are cached; do not trace them.
+    tracemalloc.start()
+    try:
+        rule = sphere_rule(4, 48)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= rule.points.nbytes + rule.weights.nbytes
+    assert peak <= 1.2 * kept, (peak, kept)

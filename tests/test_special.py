@@ -162,9 +162,11 @@ def test_2f1_branches_agree_for_kernel_parameters():
 
 @st.composite
 def kernel_triples(draw):
+    # Shift 0 gives the triples of the moment I, shift 1 those of Phi.
     p = draw(st.integers(2, 7))
     q = draw(st.integers(1, 8 - p))
-    return 0.5 * (p + q), 0.5 * (p - 1.0)
+    shift = draw(st.integers(0, 1))
+    return 0.5 * (p + q) + shift, 0.5 * (p - 1.0) + shift
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,10 +175,12 @@ def kernel_triples(draw):
        bad=st.floats(-10.0, 0.0, exclude_max=True)
        | st.floats(HYP2F1_MAX_Z, 10.0, exclude_min=True))
 @example(ab=(4.0, 2.0), zs=[HYP2F1_MAX_Z], bad=1.0)
+@example(ab=(5.0, 3.0), zs=[HYP2F1_MAX_Z], bad=1.0)
 def test_hyp2f1_symmetric_matches_mpmath(ab, zs, bad):
-    # The one 2F1 entry over the kernel triples a = (p+q)/2, b = (p-1)/2,
-    # c = 2b (p >= 2, p+q <= 8).  Rounding near the pole grows with z: the
-    # worst of 50,000 random z in [0.99, 0.999] is 5.9e-13.
+    # The one 2F1 entry over the kernel triples a = (p+q)/2 + s,
+    # b = (p-1)/2 + s, c = 2b (p >= 2, p+q <= 8, s in {0, 1}).  Rounding near
+    # the pole grows with z: the worst of 50,000 random z in [0.99, 0.999] is
+    # 5.9e-13 at s = 0, and the worst of 3,000 is 8.7e-13 at s = 1.
     a, b = ab
     got = hyp2f1_symmetric(a, b, np.array(zs))
     with mpmath.workdps(30):

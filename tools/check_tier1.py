@@ -1,0 +1,51 @@
+"""Check a tier-1 pytest run against its expected failures.
+
+Acceptance criteria 3 (polynomial Dirac step) and 7 (reduced hemisphere
+reconstruction) fail by construction; README's "Known discrepancies"
+explains both.  This script reads the JUnit XML of a run,
+
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors \\
+        --junitxml=tier1.xml
+    python3 tools/check_tier1.py tier1.xml
+
+and exits 0 only if the failed set is exactly those two tests: any other
+failure or error fails the check, and so does either criterion passing.
+"""
+
+import sys
+import xml.etree.ElementTree as ET
+
+EXPECTED_FAILURES = {
+    "tests.test_acceptance.test_criterion_3_dirac_annihilation",
+    "tests.test_acceptance.test_criterion_7_reconstruction_suite",
+}
+
+
+def failed_tests(path):
+    """(names of failed or errored test cases, number of test cases)."""
+    cases = ET.parse(path).getroot().iter("testcase")
+    failed, total = set(), 0
+    for case in cases:
+        total += 1
+        if case.find("failure") is not None or case.find("error") is not None:
+            failed.add(f"{case.get('classname')}.{case.get('name')}")
+    return failed, total
+
+
+def main(argv):
+    if len(argv) != 1:
+        print("usage: check_tier1.py JUNIT_XML", file=sys.stderr)
+        return 2
+    failed, total = failed_tests(argv[0])
+    unexpected = sorted(failed - EXPECTED_FAILURES)
+    passing = sorted(EXPECTED_FAILURES - failed)
+    for name in unexpected:
+        print(f"unexpected failure: {name}")
+    for name in passing:
+        print(f"expected failure did not fail: {name}")
+    print(f"{total} test cases, {len(failed)} failed")
+    return 1 if unexpected or passing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
