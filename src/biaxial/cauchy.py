@@ -40,8 +40,9 @@ from .special import hyp2f1_symmetric
 
 BALL_RADIUS_MAX = 0.9
 _MIN_BOUNDARY_DISTANCE = 0.05
-# Hemisphere nodes per array pass; bounds the (nodes x 2^dim) and
-# (nodes x Jacobi) work arrays for fine rules.
+# Nodes per array pass of the hemisphere sweep and of the kernel oracle;
+# bounds the (nodes x 2^dim), (nodes x Jacobi) and (nodes x p) work arrays
+# for fine rules.
 _NODE_BLOCK = 4096
 
 
@@ -157,7 +158,10 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
     Integrates |x + y - cos(theta) omega - sin(theta) nu|^{-(p+q)} over
     omega; depends on x only through |x|, which the zonal-invariance tests
     exercise.  y of shape (q,) gives a float; a stack (K, q) gives the K
-    floats as an array, sharing one pass over the omega nodes.
+    floats as an array, sharing one pass over the omega nodes.  The pass
+    walks the nodes in blocks of _NODE_BLOCK; every node's integrand is
+    computed as in one whole-rule pass and summed once over all nodes, so
+    the values do not depend on the block size.
     """
     x = np.asarray(x, dtype=np.float64)
     ys = np.asarray(y, dtype=np.float64)
@@ -166,15 +170,21 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
     if rule.dim != p:
         raise ValueError("oracle rule must live on S^{p-1}")
     c, s = math.cos(theta), math.sin(theta)
-    dx = x[None, :] - c * rule.points
-    dx2 = np.einsum("ij,ij->i", dx, dx)
-    values = []
-    for y in ys if ys.ndim == 2 else (ys,):
-        dy = y - s * np.asarray(nu, dtype=np.float64)
-        dist2 = dx2 + float(np.dot(dy, dy))
-        if math.sqrt(float(np.min(dist2))) < _MIN_BOUNDARY_DISTANCE:
+    dy = ys.reshape(-1, q) - s * np.asarray(nu, dtype=np.float64)
+    dy2 = np.array([float(np.dot(row, row)) for row in dy])
+    n = rule.points.shape[0]
+    buf = np.empty((min(_NODE_BLOCK, n), p))
+    integrand = np.empty((dy2.size, n))
+    for start in range(0, n, _NODE_BLOCK):
+        stop = min(start + _NODE_BLOCK, n)
+        dx = buf[:stop - start]
+        np.multiply(rule.points[start:stop], c, out=dx)
+        np.subtract(x, dx, out=dx)
+        dist2 = np.einsum("ij,ij->i", dx, dx) + dy2[:, None]
+        if math.sqrt(float(np.min(dist2, initial=np.inf))) < _MIN_BOUNDARY_DISTANCE:
             raise ValueError("kernel oracle integrand is near-singular at this node")
-        values.append(float(np.dot(rule.weights, dist2 ** (-0.5 * (p + q)))))
+        integrand[:, start:stop] = dist2 ** (-0.5 * (p + q))
+    values = [float(np.dot(rule.weights, row)) for row in integrand]
     return values[0] if ys.ndim == 1 else np.array(values)
 
 
@@ -268,6 +278,7 @@ class FullBallCauchy:
                 f"coefficients, got shape {values.shape}"
             )
         self._f = np.asarray(values, dtype=np.complex128)
+        self._eta2 = np.einsum("ij,ij->i", rule.points, rule.points)
 
     def evaluate(self, pt: BiaxialPoint) -> Multivector:
         if pt.dim != self.dim:
@@ -276,7 +287,8 @@ class FullBallCauchy:
         dim = self.dim
         eta = self.rule.points
         z = np.concatenate([pt.x, pt.y])
-        dist = np.linalg.norm(z[None, :] - eta, axis=1)
+        d = z[None, :] - eta
+        dist = np.sqrt(np.add.reduce(d * d, axis=1))
         if float(np.min(dist)) < _MIN_BOUNDARY_DISTANCE:
             raise ValueError("evaluation point is too close to a boundary node")
         scale = self.rule.weights * dist ** (-float(dim))
@@ -285,5 +297,5 @@ class FullBallCauchy:
         moments = (scale[:, None] * eta).T @ self._f
         eta_f = batch_vector_mv(np.eye(dim), moments, dim).sum(axis=0)
         total = batch_vector_mv(z[None, :], eta_f[None, :], dim)[0]
-        total += (scale * np.einsum("ij,ij->i", eta, eta)) @ self._f
+        total += (scale * self._eta2) @ self._f
         return Multivector(dim, total / sphere_area(dim))

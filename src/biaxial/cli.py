@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (BiaxialPoint, Multivector, batch_product, blade_name, vector_exterior,
-                      vector_interior)
+from .algebra import BiaxialPoint, Multivector, _vector_product_parts, batch_product, blade_name
 from .cauchy import (
     BALL_RADIUS_MAX,
     FullBallCauchy,
@@ -231,7 +230,7 @@ def _suite_algebra(cfg: RunConfig):
         draws = rng.uniform_array(n * 2 * (dim + size), -1, 1).reshape(n, -1)
         xs = [Multivector.vector(dim, d[:dim] + 1j * d[dim:2 * dim]) for d in draws]
         ms = [Multivector(dim, d[2 * dim:2 * dim + size] + 1j * d[2 * dim + size:]) for d in draws]
-        split = [vector_interior(x, m) + vector_exterior(x, m) for x, m in zip(xs, ms)]
+        split = [Multivector(dim, np.add(*_vector_product_parts(x, m))) for x, m in zip(xs, ms)]
         return split, products(xs, ms)
 
     def embedded_vector_square(n):
