@@ -276,18 +276,20 @@ def batch_vector_mv(components: np.ndarray, mats: np.ndarray, dim: int) -> np.nd
     if comps.shape[1] != dim or mats.shape[1] != size or comps.shape[0] != mats.shape[0]:
         raise ValueError("inconsistent batch shapes")
     sign = _blade_tables(dim)[0]
-    idx = np.arange(size)
+    # Only blades nonzero in some row contribute: a skipped zero column would
+    # add +-0 to an output that is never -0, which leaves it unchanged.
+    live = np.flatnonzero(mats.any(axis=0))
     out = np.zeros_like(mats)
     for i in range(dim):
         col = comps[:, i]
         if not np.any(col):
             continue
-        # e_i e_B lands on blade B ^ bit: gather instead of scattering.
-        src = idx ^ (1 << i)
-        term = mats[:, src]
-        term *= sign[1 << i][src]
+        # e_i e_B lands on blade B ^ bit.
+        bit = 1 << i
+        term = mats[:, live]
+        term *= sign[bit][live]
         term *= col[:, None]
-        out += term
+        out[:, live ^ bit] += term
     return out
 
 

@@ -287,8 +287,14 @@ class FullBallCauchy:
         dim = self.dim
         eta = self.rule.points
         z = np.concatenate([pt.x, pt.y])
-        d = z[None, :] - eta
-        dist = np.sqrt(np.add.reduce(d * d, axis=1))
+        # Column by column from strided views: below 8 terms np.add.reduce
+        # sums a row left to right too (sphere_rule caps dim at 6), so this is
+        # the same rounding without one inner-loop call per node.
+        dist2 = np.zeros(eta.shape[0])
+        for j in range(dim):
+            d = z[j] - eta[:, j]
+            dist2 += d * d
+        dist = np.sqrt(dist2)
         if float(np.min(dist)) < _MIN_BOUNDARY_DISTANCE:
             raise ValueError("evaluation point is too close to a boundary node")
         scale = self.rule.weights * dist ** (-float(dim))

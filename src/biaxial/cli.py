@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -655,9 +656,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves no state in the parser, so one instance serves every call.
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _build_config(args)
         if args.command == "verify":

@@ -119,9 +119,19 @@ def _hyp2f1_series(a: float, b: float, c: float, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     term = np.ones_like(z)
     total = term.copy()
+    if not z.size:
+        return total
+    # For the kernel's positive series term/total grows with z, so the largest
+    # z converges last: while that one element has not passed, the whole-array
+    # test cannot pass either and is skipped.  It alone decides the return, so
+    # the stopping term is the same for any z.
+    probe = int(np.argmax(z))
     for n in range(_MAX_TERMS):
-        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        term *= z
         total += term
+        if not abs(term.item(probe)) < _TERM_EPS * max(1.0, abs(total.item(probe))):
+            continue
         if np.all(np.abs(term) < _TERM_EPS * np.maximum(1.0, np.abs(total))):
             return total
     raise ConvergenceError(f"2F1 series stalled at z_max={float(np.max(z))}")

@@ -19,6 +19,7 @@ from biaxial.quadrature import sphere_rule
 from biaxial.rng import SplitMix64
 
 import one_pass_reference as reference
+import probe_reference
 
 # sphere_rule(p, res) has res^(p-1) nodes: below, equal to, and not a
 # multiple of the default 4,096-node block, per p.
@@ -98,7 +99,7 @@ def test_near_singular_node_in_last_partial_block_raises_without_warning(res, bl
     assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("p,q,res", [(2, 2, 28), (3, 2, 10), (2, 3, 10)])
+@pytest.mark.parametrize("p,q,res", [(2, 2, 28), (3, 2, 10), (2, 3, 10), (4, 2, 6)])
 def test_full_ball_evaluate_equals_the_norm_based_pass(p, q, res):
     rule = sphere_rule(p + q, res)
     s = np.eye(q)[0]
@@ -114,3 +115,6 @@ def test_full_ball_evaluate_equals_the_norm_based_pass(p, q, res):
         for pt in pts:
             got = oracle.evaluate(pt).coeffs
             assert got.tobytes() == reference.full_ball_evaluate(oracle, pt).coeffs.tobytes()
+            # The row-reduce pass with the full-column gather, as it was.
+            parent = probe_reference.full_ball_evaluate(oracle, pt).coeffs
+            assert got.tobytes() == parent.tobytes()

@@ -152,6 +152,17 @@ def test_reconstruct_report_columns(tmp_path):
     assert row["err_fullball_corrected"] < 1e-5
 
 
+def test_reused_parser_starts_each_call_from_its_defaults(tmp_path):
+    out = tmp_path / "rec.json"
+    base = ["reconstruct", "--field", "constant", "--res", "24", "--out", str(out)]
+    assert run(base + ["--points", "0.3,0;0,0", "--points", "0,0.2;0.1,0"]) == 0
+    assert len(json.loads(out.read_text())["rows"]) == 2
+    assert run(base + ["--points", "0.1,0;0,0"]) == 0
+    assert len(json.loads(out.read_text())["rows"]) == 1
+    assert run(base + ["--num-points", "1"]) == 0
+    assert len(json.loads(out.read_text())["rows"]) == 1
+
+
 def test_verify_cauchy_reports_reduction_defect(tmp_path):
     out = tmp_path / "cauchy.json"
     code = run([
