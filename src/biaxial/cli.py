@@ -10,13 +10,13 @@ files.  Exit codes: 0 all checks pass, 1 at least one check failed,
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,9 +46,8 @@ from .planewave import (
     exp_coeffs_closed,
     exp_hpw_axial_field,
     exp_hpw_series,
-    fourier_kernel_closed,
+    fourier_axial_field,
     fourier_kernel_oracle,
-    hpw_exp_closed,
     radialize_poly,
     radialize_poly_oracle,
 )
@@ -56,15 +55,12 @@ from .quadrature import (_funk_hecke_rules, _funk_hecke_sides, hemisphere_rule, 
                          sphere_rule)
 from .rng import SplitMix64
 
-SUITES = ("algebra", "funkhecke", "vekua", "dirac", "kernel", "cauchy", "planewave", "ck")
-FIELDS = ("exp-hpw", "fourier-kernel", "poly", "ck", "constant", "linear")
-
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     p: int
     q: int
@@ -110,16 +106,10 @@ def _build_config(args) -> RunConfig:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "p": cfg.p,
-        "q": cfg.q,
-        "s": [float(v) for v in cfg.s],
-        "k": cfg.k,
-        "J": cfg.J,
-        "res": cfg.res,
-        "h": cfg.h,
-        "seed": cfg.seed,
-    }
+    """The fields of cfg that fix a report's values; format and path do not."""
+    echo = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)[:8]}
+    echo["s"] = [float(v) for v in cfg.s]
+    return echo
 
 
 def _check(name: str, measured: float, tolerance: float) -> dict:
@@ -172,6 +162,22 @@ def _axial_fields(cfg: RunConfig) -> dict:
         "linear": linear_monogenic_field(cfg.p, cfg.q, cfg.s),
         "exp-hpw": exp_hpw_axial_field(cfg.p, cfg.q, cfg.s),
     }
+
+
+# Pointwise value functions by eval --field name, each built once per command.
+_VALUE_FNS = {
+    "exp-hpw": lambda cfg: exp_hpw_axial_field(cfg.p, cfg.q, cfg.s).value_at,
+    "fourier-kernel": lambda cfg: fourier_axial_field(cfg.p, cfg.q, cfg.s).value_at,
+    "poly": lambda cfg: lambda pt: radialize_poly(cfg.k, pt, cfg.s),
+    "ck": lambda cfg: _ck_exp(cfg)[1],
+    "constant": lambda cfg: constant_field(cfg.p, cfg.q).value_at,
+    "linear": lambda cfg: linear_monogenic_field(cfg.p, cfg.q, cfg.s).value_at,
+}
+FIELDS = tuple(_VALUE_FNS)
+
+
+def _point_columns(cfg: RunConfig) -> list:
+    return [f"x{i + 1}" for i in range(cfg.p)] + [f"y{i + 1}" for i in range(cfg.q)]
 
 
 def _ball_rule(cfg: RunConfig):
@@ -289,12 +295,8 @@ def _suite_vekua(cfg: RunConfig):
 def _suite_dirac(cfg: RunConfig):
     rng = SplitMix64(cfg.seed)
     checks = []
-    smooth = [
-        ("exp_hpw", lambda pt: hpw_exp_closed(pt, cfg.s)),
-        ("fourier", lambda pt: fourier_kernel_closed(pt, cfg.s)),
-        ("ck_exp", _ck_exp(cfg)[1]),
-    ]
-    for name, fn in smooth:
+    for name, field in (("exp_hpw", "exp-hpw"), ("fourier", "fourier-kernel"), ("ck_exp", "ck")):
+        fn = _VALUE_FNS[field](cfg)
         worst = _worst(rng, cfg, 0.2, 1.2, lambda pt: dirac_residual_relative(fn, pt, cfg.h))
         checks.append(_check(f"dirac_{name}_h{cfg.h:g}", worst, 1e-6))
     # Degree-k polynomials need the smaller verdict step: their third
@@ -368,9 +370,9 @@ def _suite_cauchy(cfg: RunConfig):
 def _suite_planewave(cfg: RunConfig):
     rng = SplitMix64(cfg.seed)
     checks = []
+    exp_closed, fourier_closed = (_VALUE_FNS[f](cfg) for f in ("exp-hpw", "fourier-kernel"))
     series = exp_hpw_series(cfg.p, cfg.q, cfg.s, J=cfg.J)
-    worst = _worst(rng, cfg, 0.0, 1.8,
-                   lambda pt: _rel(hpw_exp_closed(pt, cfg.s), eval_series(series, pt)[0]))
+    worst = _worst(rng, cfg, 0.0, 1.8, lambda pt: _rel(exp_closed(pt), eval_series(series, pt)[0]))
     checks.append(_check("exp_closed_vs_series", worst, 1e-12))
     worst = 0.0
     for j in range(min(cfg.J, 20)):
@@ -393,7 +395,7 @@ def _suite_planewave(cfg: RunConfig):
     for r in (0.5, 1.0, 2.0):
         pt = BiaxialPoint(cfg.p, cfg.q, r * np.eye(cfg.p)[0],
                           rng.uniform_array(cfg.q, -0.5, 0.5))
-        closed = fourier_kernel_closed(pt, cfg.s)
+        closed = fourier_closed(pt)
         oracle = fourier_kernel_oracle(pt, cfg.s, rule)
         worst = max(worst, _rel(closed, oracle))
         conv = max(conv, (oracle - fourier_kernel_oracle(pt, cfg.s, fine)).norm_inf)
@@ -432,6 +434,7 @@ _SUITE_RUNNERS = {
     "planewave": _suite_planewave,
     "ck": _suite_ck,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 # -- table commands ---------------------------------------------------------
@@ -451,41 +454,28 @@ def _format_float(v: float) -> str:
     return repr(float(v))
 
 
-def _eval_field_fn(cfg: RunConfig, field: str):
-    if field == "exp-hpw":
-        return lambda pt: hpw_exp_closed(pt, cfg.s)
-    if field == "fourier-kernel":
-        return lambda pt: fourier_kernel_closed(pt, cfg.s)
-    if field == "poly":
-        return lambda pt: radialize_poly(cfg.k, pt, cfg.s)
-    if field == "ck":
-        return _ck_exp(cfg)[1]
-    if field in ("constant", "linear"):
-        return _axial_fields(cfg)[field].value_at
-    raise ConfigError(f"unknown field {field!r}; choose from {FIELDS}")
+def _cmd_verify(cfg: RunConfig, args):
+    checks = _SUITE_RUNNERS[args.suite](cfg)
+    code = 0 if all(c["pass"] for c in checks) else 1
+    return code, {"suite": args.suite, "checks": checks, "config": _config_echo(cfg)}
 
 
 def _cmd_eval(cfg: RunConfig, args):
-    fn = _eval_field_fn(cfg, args.field)
+    fn = _VALUE_FNS[args.field](cfg)
     rs = _parse_range(args.grid_r, "--grid-r")
     ts = _parse_range(args.grid_t, "--grid-t")
-    dim = cfg.p + cfg.q
-    columns = [f"x{i + 1}" for i in range(cfg.p)] + [f"y{i + 1}" for i in range(cfg.q)]
-    for mask in range(1 << dim):
-        columns.append(f"{blade_name(mask)}_re")
-        columns.append(f"{blade_name(mask)}_im")
+    columns = _point_columns(cfg) + [f"{blade_name(mask)}_{part}"
+                                     for mask in range(1 << (cfg.p + cfg.q))
+                                     for part in ("re", "im")]
     rows = []
     for r in rs:
         for t in ts:
             x = np.zeros(cfg.p)
             x[0] = r
             y = t * cfg.s
-            pt = BiaxialPoint(cfg.p, cfg.q, x, y)
-            value = fn(pt)
+            coeffs = fn(BiaxialPoint(cfg.p, cfg.q, x, y)).coeffs
             row = [float(v) for v in x] + [float(v) for v in y]
-            for c in value.coeffs:
-                row.extend([float(c.real), float(c.imag)])
-            rows.append(row)
+            rows.append(row + [float(v) for c in coeffs for v in (c.real, c.imag)])
     return 0, {"command": "eval", "field": args.field, "config": _config_echo(cfg),
                "columns": columns, "rows": rows}
 
@@ -516,9 +506,8 @@ def _cmd_kernel_table(cfg: RunConfig, args):
             diff = abs(closed - oracle)
             failed = failed or diff > args.tol * max(1.0, abs(closed))
             rows.append([float(r), float(theta), closed, oracle, diff])
-    payload = {"command": "kernel-table", "config": _config_echo(cfg),
-               "tolerance": args.tol, "columns": columns, "rows": rows}
-    return (1 if failed else 0), payload
+    return (1 if failed else 0), {"command": "kernel-table", "config": _config_echo(cfg),
+                                  "tolerance": args.tol, "columns": columns, "rows": rows}
 
 
 def _reconstruct_points(cfg: RunConfig, args):
@@ -542,26 +531,29 @@ def _reconstruct_points(cfg: RunConfig, args):
 def _cmd_reconstruct(cfg: RunConfig, args):
     if cfg.q < 2:
         raise ConfigError("reconstruct needs q >= 2")
-    field_name = args.field
     fields = _axial_fields(cfg)
-    if field_name not in fields:
-        raise ConfigError(f"unknown field {field_name!r}; choose from {sorted(fields)}")
-    field = fields[field_name]
+    if args.field not in fields:
+        raise ConfigError(f"unknown field {args.field!r}; choose from {sorted(fields)}")
+    field = fields[args.field]
     pts = _reconstruct_points(cfg, args)
     hrule = hemisphere_rule(cfg.p, cfg.q, min(cfg.res, 48))
     oracle = FullBallCauchy(field.boundary_value, _ball_rule(cfg))
-    columns = (
-        [f"x{i + 1}" for i in range(cfg.p)] + [f"y{i + 1}" for i in range(cfg.q)]
-        + list(_RECONSTRUCTION_ERRORS)
-    )
+    columns = _point_columns(cfg) + list(_RECONSTRUCTION_ERRORS)
     rows = []
     for pt in pts:
         errs = _reconstruction_errors(field, pt, hrule, oracle)
         row = [float(v) for v in pt.x] + [float(v) for v in pt.y]
         rows.append(row + [errs[name] for name in _RECONSTRUCTION_ERRORS])
-    payload = {"command": "reconstruct", "field": field_name,
+    return 0, {"command": "reconstruct", "field": args.field,
                "config": _config_echo(cfg), "columns": columns, "rows": rows}
-    return 0, payload
+
+
+_COMMANDS = {
+    "verify": _cmd_verify,
+    "eval": _cmd_eval,
+    "kernel-table": _cmd_kernel_table,
+    "reconstruct": _cmd_reconstruct,
+}
 
 
 # -- output -----------------------------------------------------------------
@@ -664,18 +656,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        if args.command == "verify":
-            checks = _SUITE_RUNNERS[args.suite](cfg)
-            payload = {"suite": args.suite, "checks": checks, "config": _config_echo(cfg)}
-            code = 0 if all(c["pass"] for c in checks) else 1
-        elif args.command == "eval":
-            code, payload = _cmd_eval(cfg, args)
-        elif args.command == "kernel-table":
-            code, payload = _cmd_kernel_table(cfg, args)
-        elif args.command == "reconstruct":
-            code, payload = _cmd_reconstruct(cfg, args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        code, payload = _COMMANDS[args.command](cfg, args)
     except (ConfigError, ValueError, ConvergenceError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2

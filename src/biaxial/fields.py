@@ -7,11 +7,11 @@ waves sum_j x^j (C_j + s D_j) (the (C_j, D_j) recurrence, its evaluator
 and its axial split; the power-series extension of initial data f(0, y)
 is the recurrence with D_0 = 0), finite-difference Dirac and Vekua
 residuals, and the axial-operator form e d_r + d_y + ((p-1)/r) e.
-acting in the reduced (q+1)-generator picture.
+acting in the reduced (q+1)-generator picture.  ck_bessel_form, the
+closed extension of exp(<y, s>), is biaxial.planewave's exponential wave.
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -19,13 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .algebra import BiaxialPoint, Multivector, batch_vector_mv, embed_vector, vector_interior
-from .special import BESSEL_J_MAX_ARG, ConvergenceError, gamma_fn
+from .special import ConvergenceError
 
 FD_STEP_MIN = 1e-6
 FD_STEP_MAX = 1e-2
-
-_TERM_EPS = 1e-16
-_MAX_TERMS = 500
 
 
 def beta(j: int, p: int) -> int:
@@ -368,32 +365,12 @@ def ck_bessel_form(pt: BiaxialPoint, s) -> Multivector:
 
     Gamma(p/2) [ sum_j (-1)^j |x|^{2j} / (j! 2^{2j} Gamma(p/2+j))
                + (1/2) sum_j (-1)^j |x|^{2j} / (j! 2^{2j} Gamma(p/2+j+1)) x s ]
-    exp(<y, s>), summed adaptively.  The sums are the Bessel-J series, so
-    |x| is limited to BESSEL_J_MAX_ARG as for bessel_j.
+    exp(<y, s>).  The sums are Bessel-J series: this is the exponential plane
+    wave planewave.hpw_exp_closed, with |x| <= BESSEL_J_MAX_ARG as for bessel_j.
     """
-    s = _unit(s)
-    if pt.r > BESSEL_J_MAX_ARG:
-        raise ValueError(f"|x| must lie in [0, {BESSEL_J_MAX_ARG}], got {pt.r}")
-    p, dim = pt.p, pt.dim
-    r2 = pt.r ** 2
-    half_p = 0.5 * p
-    term1 = 1.0 / gamma_fn(half_p)
-    term2 = 1.0 / gamma_fn(half_p + 1.0)
-    s1, s2 = term1, term2
-    j = 0
-    while j < _MAX_TERMS:
-        j += 1
-        scale = -r2 / (4.0 * j)
-        term1 *= scale / (half_p + j - 1.0)
-        term2 *= scale / (half_p + j)
-        s1 += term1
-        s2 += term2
-        if max(abs(term1), abs(term2)) < _TERM_EPS * max(abs(s1), abs(s2), 1e-300):
-            break
-    phase = math.exp(float(np.dot(pt.y, s)))
-    xs = pt.embed_x() * embed_vector(dim, p, s)
-    value = Multivector.scalar(dim, s1) + 0.5 * s2 * xs
-    return gamma_fn(half_p) * phase * value
+    from .planewave import hpw_exp_closed  # planewave imports this module
+
+    return hpw_exp_closed(pt, s)
 
 
 def dirac_apply_fd(f, pt: BiaxialPoint, h: float = 1e-4) -> Multivector:

@@ -2,10 +2,13 @@
 
 Constructions on the series engine of biaxial.fields (the coefficient
 recurrence determined by the initial pair (C_0, D_0)): the Gamma-ratio
-closed coefficients of the exponential family and its Bessel-J assembly,
+closed coefficients of the exponential family and its Bessel-J form,
 the polynomial radialization of (<x,t> + i<y,s>)^k (t + i s) over t in
-S^{p-1}, and the Fourier-kernel family with its modified-Bessel closed
-form.  Every closed form has a sphere-quadrature oracle next to it.
+S^{p-1}, and the Fourier-kernel family with its modified-Bessel form.
+Each profile is defined once: the exponential and Fourier closed forms
+are value_at of their axial pairs.  radialize_poly stays a closed form
+because its pair's array path costs several times more for one point.
+Every closed form has a sphere-quadrature oracle next to it.
 
 All spherical prefactors use the equatorial measure
 kappa_p = |S^{p-2}| = 2 pi^{(p-1)/2} / Gamma((p-1)/2), the constant the
@@ -50,17 +53,10 @@ def exp_coeffs_closed(j: int, p: int) -> float:
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
     half_p = 0.5 * p
-    if j % 2 == 0:
-        log = (
-            math.lgamma(half_p) - j * math.log(2.0)
-            - math.lgamma(0.5 * j + 1.0) - math.lgamma(0.5 * j + half_p)
-        )
-    else:
-        log = (
-            math.lgamma(half_p) - j * math.log(2.0)
-            - math.lgamma(0.5 * (j + 1.0)) - math.lgamma(0.5 * (j + 1.0) + half_p)
-        )
-    return math.exp(log)
+    return math.exp(
+        math.lgamma(half_p) - j * math.log(2.0)
+        - math.lgamma(j // 2 + 1.0) - math.lgamma((j + 1) // 2 + half_p)
+    )
 
 
 def exp_hpw_series(p: int, q: int, s, J: int = 40) -> PlaneWaveSeries:
@@ -83,17 +79,9 @@ def hpw_exp_closed(pt: BiaxialPoint, s) -> Multivector:
 
     (2^{p/2-1} Gamma(p/2) / |x|^{p/2-1})
     (J_{p/2-1}(|x|) + J_{p/2}(|x|) (x/|x|) s) exp(<y, s>);
-    the |x| -> 0 limit is exp(<y, s>).
+    the |x| -> 0 limit is exp(<y, s>).  It is exp_hpw_axial_field's value.
     """
-    s = _unit(s)
-    dim = pt.dim
-    phase = math.exp(float(np.dot(pt.y, s)))
-    c, d = _exp_profile(pt.p, pt.r, 0), _exp_profile(pt.p, pt.r, 1)
-    out = Multivector.scalar(dim, c * phase)
-    if pt.r > 0.0:
-        es = pt.embed_unit_x() * embed_vector(dim, pt.p, s)
-        out = out + (d * phase) * es
-    return out
+    return exp_hpw_axial_field(pt.p, pt.q, s).value_at(pt)
 
 
 def exp_hpw_axial_field(p: int, q: int, s) -> AxialField:
@@ -220,14 +208,9 @@ def fourier_kernel_closed(pt: BiaxialPoint, s) -> Multivector:
 
     G = sqrt(pi) kappa_p 2^{(p-2)/2} Gamma((p-1)/2) / |x|^{(p-2)/2}
         (i I_{(p-2)/2}(|x|) s + (x/|x|) I_{p/2}(|x|)) exp(i <y, s>),
-    with G -> i |S^{p-1}| s exp(i<y,s>) as x -> 0.
+    with G -> i |S^{p-1}| s exp(i<y,s>) as x -> 0; fourier_axial_field's value.
     """
-    s = _unit(s)
-    phase = cmath.exp(1j * float(np.dot(pt.y, s)))
-    out = (_fourier_profile(pt.p, pt.r, 0) * phase) * embed_vector(pt.dim, pt.p, s)
-    if pt.r == 0.0:
-        return out
-    return out + (_fourier_profile(pt.p, pt.r, 1) * phase) * pt.embed_unit_x()
+    return fourier_axial_field(pt.p, pt.q, s).value_at(pt)
 
 
 def fourier_kernel_oracle(pt: BiaxialPoint, s, rule: SphereRule) -> Multivector:

@@ -59,8 +59,10 @@ def _bessel_series(nu: float, z: float, signed: bool) -> float:
         j += 1
         term *= quarter / (j * (nu + j))
         total += -term if (signed and j % 2 == 1) else term
-        # Terms shrink monotonically once j exceeds z/2; only stop there.
-        if j * (nu + j) > quarter and term < _TERM_EPS * max(1.0, abs(total)):
+        # Terms shrink monotonically once j exceeds z/2; only stop there, and
+        # relative to the sum, so values far below 1 keep their digits.  A
+        # term that underflowed to 0 changes nothing, hence <=.
+        if j * (nu + j) > quarter and term <= _TERM_EPS * abs(total):
             return total
     raise ConvergenceError(f"Bessel series did not converge for nu={nu}, z={z}")
 

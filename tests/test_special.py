@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biaxial.special import (
+    BESSEL_I_MAX_ARG,
     BESSEL_J_MAX_ARG,
     HYP2F1_MAX_Z,
     _hyp2f1_euler,
@@ -74,6 +75,33 @@ def test_bessel_j_matches_mpmath_on_its_domain():
         for z in np.linspace(0.0, BESSEL_J_MAX_ARG, 400):
             ref = float(mpmath.besselj(nu, z))
             assert abs(bessel_j(nu, float(z)) - ref) <= 1e-12 * max(1.0, abs(ref)), (nu, z)
+
+
+# Small arguments: there a high-order value is far below 1, which an
+# absolute stop of the series would truncate.
+_SMALL_Z = np.geomspace(1e-3, 0.1, 20, endpoint=False)
+
+
+def test_bessel_j_is_relatively_accurate_where_it_has_no_zero():
+    # J_nu has no zero on (0, 2] for these orders, so the bound can be relative.
+    for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5, 10.0):
+        for z in np.concatenate([_SMALL_Z, np.linspace(0.1, 2.0, 96)]):
+            ref = float(mpmath.besselj(nu, z))
+            assert abs(bessel_j(nu, float(z)) - ref) <= 1e-12 * abs(ref), (nu, z)
+
+
+def test_bessel_i_is_relatively_accurate_on_its_domain():
+    for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5, 7.0, 10.0):
+        for z in np.concatenate([_SMALL_Z, np.linspace(0.1, BESSEL_I_MAX_ARG, 200)]):
+            ref = float(mpmath.besseli(nu, z))
+            assert abs(bessel_i(nu, float(z)) - ref) <= 1e-12 * ref, (nu, z)
+
+
+def test_bessel_series_stops_when_its_terms_underflow():
+    # (z/2)^nu underflows to 0 here, so the relative stop must accept 0 <= 0.
+    for nu in (1.5, 10.0):
+        assert bessel_j(nu, 1e-221) == 0.0 and bessel_i(nu, 1e-221) == 0.0
+    assert bessel_j(1.0, 1e-310) == pytest.approx(5e-311, rel=1e-12)
 
 
 def test_bessel_i_integral_representation():
