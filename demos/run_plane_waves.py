@@ -1,13 +1,13 @@
-# Exponential plane waves three ways: the coefficient recurrence, the
-# Bessel-J closed form, and the operator form of the extension of
-# exp(<y, s>).  The extension itself is the same recurrence with D_0 = 0, so
-# it is the series column.  All three agree to machine precision and are
-# annihilated by the first-order operator.
+# Exponential plane waves two ways: the coefficient recurrence and the
+# Bessel-J closed form.  The extension of exp(<y, s>) is the same recurrence
+# with D_0 = 0, and its closed form ck_bessel_form is the same Bessel-J wave.
+# The two routes agree to machine precision and are annihilated by the
+# first-order operator.
 
 import numpy as np
 
 from biaxial.algebra import BiaxialPoint
-from biaxial.fields import ck_bessel_form, dirac_apply_fd, series_axial_parts
+from biaxial.fields import dirac_apply_fd, series_axial_parts
 from biaxial.planewave import (
     eval_planewave,
     exp_coeffs_closed,
@@ -31,7 +31,7 @@ for j in range(8):
     print(f"{j}   {got:.15f} {want:.15f}")
 print()
 
-# Pointwise agreement of the three construction routes.
+# Pointwise agreement of the two construction routes.
 rows = []
 for r in (0.0, 0.5, 1.0, 1.5, 2.0):
     x = np.zeros(p)
@@ -39,11 +39,10 @@ for r in (0.0, 0.5, 1.0, 1.5, 2.0):
     pt = BiaxialPoint(p, q, x, np.array([0.4, -0.2]))
     closed = hpw_exp_closed(pt, s)
     via_series = eval_planewave(series, pt)[0]
-    via_bessel_op = ck_bessel_form(pt, s)
-    rows.append((r, (closed - via_series).norm_inf, (closed - via_bessel_op).norm_inf))
-print("|x|   closed-vs-series  closed-vs-operator-form")
-for r, e1, e2 in rows:
-    print(f"{r:3.1f}   {e1:.3e}         {e2:.3e}")
+    rows.append((r, (closed - via_series).norm_inf))
+print("|x|   closed-vs-series")
+for r, e1 in rows:
+    print(f"{r:3.1f}   {e1:.3e}")
 print()
 
 # The finite-difference residual of the first-order operator vanishes to

@@ -370,9 +370,11 @@ def _suite_cauchy(cfg: RunConfig):
 def _suite_planewave(cfg: RunConfig):
     rng = SplitMix64(cfg.seed)
     checks = []
-    exp_closed, fourier_closed = (_VALUE_FNS[f](cfg) for f in ("exp-hpw", "fourier-kernel"))
+    exp_closed = _VALUE_FNS["exp-hpw"](cfg)
+    fourier_closed = _VALUE_FNS["fourier-kernel"](cfg)
     series = exp_hpw_series(cfg.p, cfg.q, cfg.s, J=cfg.J)
-    worst = _worst(rng, cfg, 0.0, 1.8, lambda pt: _rel(exp_closed(pt), eval_series(series, pt)[0]))
+    worst = _worst(rng, cfg, 0.0, 1.8,
+                   lambda pt: _rel(exp_closed(pt), eval_series(series, pt)[0]))
     checks.append(_check("exp_closed_vs_series", worst, 1e-12))
     worst = 0.0
     for j in range(min(cfg.J, 20)):
@@ -464,18 +466,23 @@ def _cmd_eval(cfg: RunConfig, args):
     fn = _VALUE_FNS[args.field](cfg)
     rs = _parse_range(args.grid_r, "--grid-r")
     ts = _parse_range(args.grid_t, "--grid-t")
-    columns = _point_columns(cfg) + [f"{blade_name(mask)}_{part}"
-                                     for mask in range(1 << (cfg.p + cfg.q))
-                                     for part in ("re", "im")]
+    dim = cfg.p + cfg.q
+    columns = _point_columns(cfg)
+    for mask in range(1 << dim):
+        columns.append(f"{blade_name(mask)}_re")
+        columns.append(f"{blade_name(mask)}_im")
     rows = []
     for r in rs:
         for t in ts:
             x = np.zeros(cfg.p)
             x[0] = r
             y = t * cfg.s
-            coeffs = fn(BiaxialPoint(cfg.p, cfg.q, x, y)).coeffs
+            pt = BiaxialPoint(cfg.p, cfg.q, x, y)
+            value = fn(pt)
             row = [float(v) for v in x] + [float(v) for v in y]
-            rows.append(row + [float(v) for c in coeffs for v in (c.real, c.imag)])
+            for c in value.coeffs:
+                row.extend([float(c.real), float(c.imag)])
+            rows.append(row)
     return 0, {"command": "eval", "field": args.field, "config": _config_echo(cfg),
                "columns": columns, "rows": rows}
 
@@ -506,8 +513,9 @@ def _cmd_kernel_table(cfg: RunConfig, args):
             diff = abs(closed - oracle)
             failed = failed or diff > args.tol * max(1.0, abs(closed))
             rows.append([float(r), float(theta), closed, oracle, diff])
-    return (1 if failed else 0), {"command": "kernel-table", "config": _config_echo(cfg),
-                                  "tolerance": args.tol, "columns": columns, "rows": rows}
+    payload = {"command": "kernel-table", "config": _config_echo(cfg),
+               "tolerance": args.tol, "columns": columns, "rows": rows}
+    return (1 if failed else 0), payload
 
 
 def _reconstruct_points(cfg: RunConfig, args):
@@ -531,10 +539,11 @@ def _reconstruct_points(cfg: RunConfig, args):
 def _cmd_reconstruct(cfg: RunConfig, args):
     if cfg.q < 2:
         raise ConfigError("reconstruct needs q >= 2")
+    field_name = args.field
     fields = _axial_fields(cfg)
-    if args.field not in fields:
-        raise ConfigError(f"unknown field {args.field!r}; choose from {sorted(fields)}")
-    field = fields[args.field]
+    if field_name not in fields:
+        raise ConfigError(f"unknown field {field_name!r}; choose from {sorted(fields)}")
+    field = fields[field_name]
     pts = _reconstruct_points(cfg, args)
     hrule = hemisphere_rule(cfg.p, cfg.q, min(cfg.res, 48))
     oracle = FullBallCauchy(field.boundary_value, _ball_rule(cfg))
@@ -544,8 +553,9 @@ def _cmd_reconstruct(cfg: RunConfig, args):
         errs = _reconstruction_errors(field, pt, hrule, oracle)
         row = [float(v) for v in pt.x] + [float(v) for v in pt.y]
         rows.append(row + [errs[name] for name in _RECONSTRUCTION_ERRORS])
-    return 0, {"command": "reconstruct", "field": args.field,
+    payload = {"command": "reconstruct", "field": field_name,
                "config": _config_echo(cfg), "columns": columns, "rows": rows}
+    return 0, payload
 
 
 _COMMANDS = {

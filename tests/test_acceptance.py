@@ -24,7 +24,6 @@ from biaxial.cauchy import (
 from biaxial.cli import main as cli_main
 from biaxial.fields import (
     ExpLinear,
-    ck_bessel_form,
     ck_extend,
     constant_field,
     dirac_apply_fd,
@@ -116,7 +115,6 @@ def test_criterion_2_recurrence_vs_closed_form():
             closed = hpw_exp_closed(pt, S2)
             worst_series = max(worst_series, _rel(closed, eval_planewave(series, pt)[0]))
             worst_ck = max(worst_ck, _rel(closed, eval_series(ck, pt)[0]))
-            worst_ck = max(worst_ck, _rel(closed, ck_bessel_form(pt, S2)))
     ok = worst_series < tol and worst_ck < tol
     _report(
         "criterion 2 (recurrence vs closed form)",

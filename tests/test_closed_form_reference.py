@@ -3,6 +3,8 @@ hand-assembled code they replaced (closed_form_reference.py).
 
 Both sides evaluate the same profiles; the pair adds its blades in another
 order and takes the phase from numpy's exp, so they agree to rounding.
+ck_bessel_form against its old series is test_planewave's
+test_closed_form_matches_ck_route.
 """
 
 import numpy as np
@@ -11,13 +13,11 @@ from hypothesis import strategies as st
 
 import closed_form_reference as ref
 from biaxial.algebra import BiaxialPoint
-from biaxial.fields import ck_bessel_form
 from biaxial.planewave import fourier_kernel_closed, hpw_exp_closed
 
 PAIRS = {
     "exp": (hpw_exp_closed, ref.hpw_exp_closed),
     "fourier": (fourier_kernel_closed, ref.fourier_kernel_closed),
-    "ck": (ck_bessel_form, ref.ck_bessel_form),
 }
 
 
