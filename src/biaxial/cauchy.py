@@ -188,6 +188,20 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
     return values[0] if ys.ndim == 1 else np.array(values)
 
 
+def _live_product(weights: np.ndarray, rows) -> np.ndarray:
+    """weights @ rows for real weights (k, N) and complex rows (N, M).
+
+    One real product over the columns of rows' float64 view that are
+    nonzero at some node; the other columns stay +0.0.  Real fields fill
+    one or a few of the 2 M float columns.
+    """
+    view = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
+    live = np.flatnonzero(view.any(axis=0))
+    out = np.zeros((weights.shape[0], view.shape[1]))
+    out[:, live] = weights @ view[:, live]
+    return out.view(np.complex128)
+
+
 def _node_moments(field: AxialField, r: float, y: np.ndarray, theta: np.ndarray,
                   nu: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted sums of the boundary values over one block of nodes.
@@ -204,7 +218,7 @@ def _node_moments(field: AxialField, r: float, y: np.ndarray, theta: np.ndarray,
     w_phi = w * _kernel_phi(field.p, field.q, tau, c2)
     weights_a = np.vstack([w_i, w_phi * c, (w_i * s) * nu.T])
     weights_b = np.vstack([w_phi, w_i * c, (w_phi * s) * nu.T])
-    return np.stack([weights_a @ a_b, weights_b @ b_b])
+    return np.stack([_live_product(weights_a, a_b), _live_product(weights_b, b_b)])
 
 
 def reconstruct_ab_variants(field: AxialField, pt: BiaxialPoint, hrule: HemisphereRule):

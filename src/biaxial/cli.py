@@ -539,6 +539,8 @@ def _reconstruct_points(cfg: RunConfig, args):
 def _cmd_reconstruct(cfg: RunConfig, args):
     if cfg.q < 2:
         raise ConfigError("reconstruct needs q >= 2")
+    if args.num_points < 1:
+        raise ConfigError(f"need --num-points >= 1, got {args.num_points}")
     field_name = args.field
     fields = _axial_fields(cfg)
     if field_name not in fields:

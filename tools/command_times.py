@@ -10,6 +10,11 @@ The script prints one line per command and then the sum:
     <ms>  <argv>
     <ms>  total
 
+Arguments are argv prefixes, one per argument, that select the commands
+to time: ``python3 tools/command_times.py "verify cauchy" kernel-table``
+times the three ``verify cauchy`` commands and ``kernel-table``.  A prefix
+matches whole words, and one that matches no command exits 2.
+
 Running it on two checkouts gives a per-command before/after table.  Pin
 the BLAS threads (``OPENBLAS_NUM_THREADS=1``) for comparable numbers.
 """
@@ -55,12 +60,30 @@ def best_times(commands, rounds=ROUNDS):
     return list(zip(best, argvs))
 
 
-def main():
-    rows = best_times(report_digests.commands())
+def select(commands, prefixes):
+    """The commands whose argv starts with the words of some prefix, in
+    their order; every command when there is no prefix.  Raises ValueError
+    naming a prefix that matches none."""
+    heads = [prefix.split() for prefix in prefixes]
+    for head in heads:
+        if not any(argv[:len(head)] == head for argv in commands):
+            raise ValueError(f"no command starts with {' '.join(head)!r}")
+    return [argv for argv in commands
+            if not heads or any(argv[:len(head)] == head for head in heads)]
+
+
+def main(prefixes=()):
+    try:
+        commands = select(report_digests.commands(), prefixes)
+    except ValueError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 2
+    rows = best_times(commands)
     for ms, argv in rows:
         print(f"{ms:9.1f}  {' '.join(argv)}", flush=True)
     print(f"{sum(ms for ms, _ in rows):9.1f}  total")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
