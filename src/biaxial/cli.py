@@ -60,6 +60,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_finite(name: str, text, *values) -> None:
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ConfigError(f"{name} must hold finite numbers, got {text!r}")
+
+
 @dataclasses.dataclass
 class RunConfig:
     p: int
@@ -91,6 +96,7 @@ def _build_config(args) -> RunConfig:
         s[0] = 1.0
     else:
         s = np.array([float(v) for v in args.s.split(",")])
+        _check_finite("--s", args.s, s)
         if s.size != q:
             raise ConfigError(f"direction s needs {q} components, got {s.size}")
         norm = float(np.linalg.norm(s))
@@ -447,6 +453,7 @@ def _parse_range(spec: str, name: str) -> np.ndarray:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ConfigError(f"{name} must look like start:stop:count, got {spec!r}") from exc
+    _check_finite(name, spec, start, stop)
     if count < 1:
         raise ConfigError(f"{name} needs at least one sample")
     return np.linspace(start, stop, count)
@@ -490,12 +497,14 @@ def _cmd_eval(cfg: RunConfig, args):
 def _cmd_kernel_table(cfg: RunConfig, args):
     if cfg.q < 2:
         raise ConfigError("kernel-table needs q >= 2")
+    _check_finite("--tol", args.tol, args.tol)
     rs = _parse_range(args.grid_r, "--grid-r")
     thetas = _parse_range(args.grid_theta, "--grid-theta")
     if args.y is None:
         y = np.zeros(cfg.q)
     else:
         y = np.array([float(v) for v in args.y.split(",")])
+        _check_finite("--y", args.y, y)
         if y.size != cfg.q:
             raise ConfigError(f"--y needs {cfg.q} components")
     nu = np.zeros(cfg.q)
@@ -528,6 +537,7 @@ def _reconstruct_points(cfg: RunConfig, args):
                 y = np.array([float(v) for v in ys.split(",")])
             except ValueError as exc:
                 raise ConfigError(f"point must look like x1,..;y1,.., got {spec!r}") from exc
+            _check_finite("--points", spec, x, y)
             if x.size != cfg.p or y.size != cfg.q:
                 raise ConfigError(f"point {spec!r} does not match p={cfg.p}, q={cfg.q}")
             pts.append(BiaxialPoint(cfg.p, cfg.q, x, y))

@@ -1,14 +1,15 @@
 """Axially symmetric solution candidates and their numerical residuals.
 
 An axial field is f(x, y) = A(|x|, y) + (x/|x|) B(|x|, y) with A, B valued
-in the y-generator subalgebra.  The module provides the closed function
-class P(t) e^{lambda t} in t = <y, s>, the one series engine for plane
-waves sum_j x^j (C_j + s D_j) (the (C_j, D_j) recurrence, its evaluator
-and its axial split; the power-series extension of initial data f(0, y)
-is the recurrence with D_0 = 0), finite-difference Dirac and Vekua
-residuals, and the axial-operator form e d_r + d_y + ((p-1)/r) e.
-acting in the reduced (q+1)-generator picture.  ck_bessel_form, the
-closed extension of exp(<y, s>), is biaxial.planewave's exponential wave.
+in the y-generator subalgebra, each one scalar profile on blade 1 or s.
+The module provides those fields, the closed function class
+P(t) e^{lambda t} in t = <y, s>, the one series engine for plane waves
+sum_j x^j (C_j + s D_j) (the (C_j, D_j) recurrence, its evaluator and its
+axial split; the power-series extension of initial data f(0, y) is the
+recurrence with D_0 = 0), finite-difference Dirac and Vekua residuals,
+and the axial-operator form e d_r + d_y + ((p-1)/r) e. acting in the
+reduced (q+1)-generator picture.  ck_bessel_form, the closed extension
+of exp(<y, s>), is biaxial.planewave's exponential wave.
 """
 
 import cmath
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import BiaxialPoint, Multivector, batch_vector_mv, embed_vector, vector_interior
+from .algebra import BiaxialPoint, Multivector, embed_vector, vector_interior
 from .special import ConvergenceError
 
 FD_STEP_MIN = 1e-6
@@ -43,7 +44,7 @@ def _check_step(h: float) -> None:
 def _unit(s) -> np.ndarray:
     s = np.array(s, dtype=np.float64)
     norm = float(np.linalg.norm(s))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"direction must be a unit vector, |s| = {norm}")
     s.setflags(write=False)
     return s
@@ -114,10 +115,10 @@ class AxialField:
     A and B accept either one point or a batch.  A scalar r with y of
     shape (q,) returns a Multivector; r of shape (N,) with y of shape
     (N, q) returns an (N, 2^dim) coefficient array.  The library's
-    families are written once in array form and get the scalar case from
-    batched_part.  A field built from scalar-only callables still works
-    with value_at, vekua_residual and dirac_apply_fd, but not with
-    boundary_value, reconstruct_ab_variants or FullBallCauchy.
+    families build both from _axial_part.  A field built from scalar-only
+    callables still works with value_at, vekua_residual and
+    dirac_apply_fd, but not with boundary_value, reconstruct_ab_variants
+    or FullBallCauchy.
     """
 
     p: int
@@ -128,10 +129,13 @@ class AxialField:
     def value_at(self, pt: BiaxialPoint) -> Multivector:
         if pt.p != self.p or pt.q != self.q:
             raise ValueError("point and field axis dimensions differ")
-        a = self.A(pt.r, pt.y)
-        if pt.r == 0.0:
+        r = pt.r
+        a = self.A(r, pt.y)
+        if r == 0.0:
             return a
-        return a + pt.embed_unit_x() * self.B(pt.r, pt.y)
+        out = a.coeffs.copy()
+        _add_unit_times(out, self.B(r, pt.y).coeffs, pt.x / r, self.p, self.q)
+        return Multivector._wrap(pt.dim, out)
 
     def boundary_value(self, eta: np.ndarray):
         """Values at points of the unit sphere of R^{p+q}.
@@ -141,60 +145,62 @@ class AxialField:
         with |x| < 1e-12 take the value of A alone.
         """
         eta = np.asarray(eta, dtype=np.float64)
-        if eta.ndim == 1:
-            return Multivector(self.p + self.q, self._boundary_rows(eta[None, :])[0])
-        return self._boundary_rows(eta)
-
-    def _boundary_rows(self, eta: np.ndarray) -> np.ndarray:
         p, dim = self.p, self.p + self.q
-        if eta.ndim != 2 or eta.shape[1] != dim:
-            raise ValueError(f"boundary points must have shape (N, {dim}), got {eta.shape}")
-        x, y = eta[:, :p], eta[:, p:]
+        rows = np.atleast_2d(eta)
+        if rows.ndim != 2 or rows.shape[1] != dim:
+            raise ValueError(f"boundary points must have shape (N, {dim}), got {rows.shape}")
+        x, y = rows[:, :p], rows[:, p:]
         r = np.linalg.norm(x, axis=1)
         off_axis = r >= 1e-12
-        unit = np.zeros_like(eta)
-        unit[off_axis, :p] = x[off_axis] / r[off_axis, None]
-        rows = self.A(r, y)
-        rows += batch_vector_mv(unit, self.B(r, y), dim)
-        return rows
+        unit = np.zeros_like(x)
+        unit[off_axis] = x[off_axis] / r[off_axis, None]
+        out = np.ascontiguousarray(self.A(r, y), dtype=np.complex128)
+        _add_unit_times(out, self.B(r, y), unit, p, self.q)
+        return Multivector(dim, out[0]) if eta.ndim == 1 else out
 
 
-def batched_part(dim: int, rows: Callable) -> Callable:
-    """Adapt an array-form A or B to the AxialField contract.
+def _add_unit_times(out: np.ndarray, b: np.ndarray, unit: np.ndarray, p: int, q: int) -> None:
+    """out += u b in place: out, b in the y-subalgebra, u = unit on e_1..e_p.
 
-    rows maps r of shape (N,) and y of shape (N, q) to (N, 2^dim)
-    coefficients.  The result passes arrays through and turns a scalar r
-    into a one-row call whose row it returns as a Multivector.
+    e_i e_Y is the blade Y with e_i added, sign +1, so u b only shifts
+    blades.  out += 0.0 first turns its signed zeros to +0.0.
+    """
+    out += 0.0
+    # Blade Y << p | X sits at [..., Y, X] of this view.
+    grid = out.reshape(out.shape[:-1] + (1 << q, 1 << p))
+    b_y = b.reshape(grid.shape)[..., 0]
+    for i in range(p):
+        grid[..., 1 << i] += unit[..., i, None] * b_y
+
+
+def _axial_part(dim: int, profile: Callable, blade=None) -> Callable:
+    """One A or B from a profile of a scalar r and y (q,), or r (N,), y (N, q).
+
+    Its values, shaped like r, go on blade 1 by column assignment, which
+    keeps the sign of a zero, or multiply the coefficients blade (s).
     """
 
     def part(r, y):
         r = np.asarray(r, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if r.ndim == 0:
-            return Multivector(dim, rows(r[None], y[None, :])[0])
-        return rows(r, y)
+        values = profile(r, np.asarray(y, dtype=np.float64))
+        if blade is None:
+            out = np.zeros(r.shape + (1 << dim,), dtype=np.complex128)
+            out[..., 0] = values
+        else:
+            out = np.multiply.outer(values, blade)
+        return Multivector._wrap(dim, out) if r.ndim == 0 else out
 
     return part
 
 
-def _scalar_rows(dim: int, values) -> np.ndarray:
-    """(N, 2^dim) coefficients with values in the scalar blade, zeros elsewhere."""
-    values = np.asarray(values)
-    out = np.zeros((values.size, 1 << dim), dtype=np.complex128)
-    out[:, 0] = values
-    return out
+def _on_radii(profile: Callable, r: np.ndarray):
+    """A scalar radial profile at a 0-d r, or once per distinct radius of r.
 
-
-def _on_radii(profile: Callable, r: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar radial profile once per distinct radius in r.
-
-    profile maps a float to a number; the result has one entry per entry
-    of r.  Hemisphere nodes share few radii, so the scalar special
-    functions run once per radius rather than once per node.
+    profile maps a float to a number.  Hemisphere nodes share few radii,
+    so the scalar special functions run once per radius, not per node.
     """
-    if r.size == 1:
-        # A one-point call: the sort in np.unique would cost more than it saves.
-        return np.array([profile(float(r[0]))])
+    if r.ndim == 0:
+        return profile(float(r))
     radii, inverse = np.unique(r, return_inverse=True)
     values = np.array([profile(float(rad)) for rad in radii])
     return values[inverse.reshape(-1)]
@@ -202,14 +208,11 @@ def _on_radii(profile: Callable, r: np.ndarray) -> np.ndarray:
 
 def constant_field(p: int, q: int, value=1.0) -> AxialField:
     dim = p + q
-
-    def a_rows(r, y):
-        return _scalar_rows(dim, np.full(r.size, value))
-
-    def b_rows(r, y):
-        return np.zeros((r.size, 1 << dim), dtype=np.complex128)
-
-    return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
+    return AxialField(
+        p, q,
+        _axial_part(dim, lambda r, y: np.full(r.shape, value)),
+        _axial_part(dim, lambda r, y: 0.0),
+    )
 
 
 def linear_monogenic_field(p: int, q: int, s) -> AxialField:
@@ -217,14 +220,11 @@ def linear_monogenic_field(p: int, q: int, s) -> AxialField:
     s = _unit(s)
     dim = p + q
     s_coeffs = embed_vector(dim, p, s).coeffs
-
-    def a_rows(r, y):
-        return _scalar_rows(dim, y @ s)
-
-    def b_rows(r, y):
-        return (r / p)[:, None] * s_coeffs
-
-    return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
+    return AxialField(
+        p, q,
+        _axial_part(dim, lambda r, y: y @ s),
+        _axial_part(dim, lambda r, y: r / p, s_coeffs),
+    )
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ closed coefficients of the exponential family and its Bessel-J form,
 the polynomial radialization of (<x,t> + i<y,s>)^k (t + i s) over t in
 S^{p-1}, and the Fourier-kernel family with its modified-Bessel form.
 Each profile is defined once: the exponential and Fourier closed forms
-are value_at of their axial pairs.  radialize_poly stays a closed form
-because its pair's array path costs several times more for one point.
+are value_at of their axial pairs.  radialize_poly stays a closed form:
+it computes coef_a x where its pair computes (x/|x|)(coef_a r), so the
+two differ by rounding and in the sign of some zeros.
 Every closed form has a sphere-quadrature oracle next to it.
 
 All spherical prefactors use the equatorial measure
@@ -25,10 +26,9 @@ from .fields import (
     AxialField,
     ExpLinear,
     PlaneWaveSeries,
+    _axial_part,
     _on_radii,
-    _scalar_rows,
     _unit,
-    batched_part,
     ck_extend,
     eval_series,
     hpw_recurrence,
@@ -88,17 +88,13 @@ def exp_hpw_axial_field(p: int, q: int, s) -> AxialField:
     """The exponential plane wave as an axial A/B pair."""
     s = _unit(s)
     dim = p + q
+
+    def profile(k):
+        radial = lambda rad: _exp_profile(p, rad, k)
+        return lambda r, y: _on_radii(radial, r) * np.exp(y @ s)
+
     s_coeffs = embed_vector(dim, p, s).coeffs
-
-    def a_rows(r, y):
-        c = _on_radii(lambda rad: _exp_profile(p, rad, 0), r)
-        return _scalar_rows(dim, c * np.exp(y @ s))
-
-    def b_rows(r, y):
-        d = _on_radii(lambda rad: _exp_profile(p, rad, 1), r)
-        return (d * np.exp(y @ s))[:, None] * s_coeffs
-
-    return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
+    return AxialField(p, q, _axial_part(dim, profile(0)), _axial_part(dim, profile(1), s_coeffs))
 
 
 def poly_coeff_a(j: int, k: int, p: int) -> float:
@@ -174,17 +170,12 @@ def poly_hpw_axial_field(p: int, q: int, s, k: int) -> AxialField:
         raise ValueError(f"degree must lie in [0, {MAX_POLY_DEGREE}], got {k}")
     s = _unit(s)
     dim = p + q
-    s_coeffs = embed_vector(dim, p, s).coeffs
-
-    def a_rows(r, y):
-        _, coef_b = _poly_radial_coeffs(k, p, r, y @ s)
-        return (1j * coef_b)[:, None] * s_coeffs
-
-    def b_rows(r, y):
-        coef_a, _ = _poly_radial_coeffs(k, p, r, y @ s)
-        return _scalar_rows(dim, coef_a * r)
-
-    return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
+    return AxialField(
+        p, q,
+        _axial_part(dim, lambda r, y: 1j * _poly_radial_coeffs(k, p, r, y @ s)[1],
+                    embed_vector(dim, p, s).coeffs),
+        _axial_part(dim, lambda r, y: _poly_radial_coeffs(k, p, r, y @ s)[0] * r),
+    )
 
 
 def _fourier_profile(p: int, r: float, k: int) -> complex:
@@ -229,14 +220,10 @@ def fourier_axial_field(p: int, q: int, s) -> AxialField:
     """Fourier-kernel wave as an axial pair: A = (i-part) s, B scalar."""
     s = _unit(s)
     dim = p + q
+
+    def profile(k):
+        radial = lambda rad: _fourier_profile(p, rad, k)
+        return lambda r, y: _on_radii(radial, r) * np.exp(1j * (y @ s))
+
     s_coeffs = embed_vector(dim, p, s).coeffs
-
-    def a_rows(r, y):
-        cs = _on_radii(lambda rad: _fourier_profile(p, rad, 0), r)
-        return (cs * np.exp(1j * (y @ s)))[:, None] * s_coeffs
-
-    def b_rows(r, y):
-        be = _on_radii(lambda rad: _fourier_profile(p, rad, 1), r)
-        return _scalar_rows(dim, be * np.exp(1j * (y @ s)))
-
-    return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
+    return AxialField(p, q, _axial_part(dim, profile(0), s_coeffs), _axial_part(dim, profile(1)))

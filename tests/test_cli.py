@@ -248,3 +248,24 @@ def test_reconstruct_without_points_exits_2_before_building_rules(monkeypatch, t
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == f"need --num-points >= 1, got {count}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, option", [
+    (["verify", "vekua", "--s", "nan,1"], "--s"),
+    (["verify", "vekua", "--s", "inf,1"], "--s"),
+    (["eval", "linear", "--grid-r", "0:nan:3"], "--grid-r"),
+    (["eval", "linear", "--grid-t=-inf:1:3"], "--grid-t"),
+    (["kernel-table", "--grid-r", "nan:0.5:3"], "--grid-r"),
+    (["kernel-table", "--grid-theta", "0:nan:3"], "--grid-theta"),
+    (["kernel-table", "--y", "nan,0"], "--y"),
+    (["kernel-table", "--tol", "nan"], "--tol"),
+    (["kernel-table", "--tol", "inf"], "--tol"),
+    (["reconstruct", "--points", "0.3,nan;0,0"], "--points"),
+    (["reconstruct", "--points", "0.3,0;-inf,0"], "--points"),
+])
+def test_non_finite_inputs_exit_2_naming_the_option(tmp_path, capsys, args, option):
+    out = tmp_path / "never.json"
+    assert run(args + ["--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(option + " ") and "finite" in error
+    assert not out.exists()

@@ -76,6 +76,16 @@ def test_exp_linear_requires_unit_direction():
         ExpLinear(1.0, np.array([1.0, 1.0]), [1.0])
 
 
+@pytest.mark.parametrize("s", [[np.nan, 0.0], [np.inf, 0.0], [np.nan, np.nan]])
+def test_non_finite_directions_are_rejected(s):
+    from biaxial.planewave import exp_hpw_axial_field
+
+    with pytest.raises(ValueError, match="unit vector"):
+        ExpLinear(1.0, np.array(s), [1.0])
+    with pytest.raises(ValueError, match="unit vector"):
+        exp_hpw_axial_field(2, 2, s)
+
+
 def test_dirac_constant_field_is_zero():
     pt = BiaxialPoint(2, 2, np.array([0.5, 0.1]), np.array([0.2, -0.3]))
     res = dirac_apply_fd(lambda _: Multivector.scalar(4, 2.0 + 1.0j), pt, h=1e-3)
