@@ -264,35 +264,6 @@ def vector_exterior(x: Multivector, a: Multivector) -> Multivector:
     return Multivector._wrap(x.dim, raise_)
 
 
-def batch_vector_mv(components: np.ndarray, mats: np.ndarray, dim: int) -> np.ndarray:
-    """Left-multiply rows of multivector coefficients by grade-1 vectors.
-
-    components: (N, dim) vector components, mats: (N, 2^dim) coefficients.
-    Returns the (N, 2^dim) coefficients of v_n * M_n for every row n.
-    """
-    comps = np.asarray(components)
-    mats = np.asarray(mats, dtype=np.complex128)
-    size = 1 << dim
-    if comps.shape[1] != dim or mats.shape[1] != size or comps.shape[0] != mats.shape[0]:
-        raise ValueError("inconsistent batch shapes")
-    sign = _blade_tables(dim)[0]
-    # Only blades nonzero in some row contribute: a skipped zero column would
-    # add +-0 to an output that is never -0, which leaves it unchanged.
-    live = np.flatnonzero(mats.any(axis=0))
-    out = np.zeros_like(mats)
-    for i in range(dim):
-        col = comps[:, i]
-        if not np.any(col):
-            continue
-        # e_i e_B lands on blade B ^ bit.
-        bit = 1 << i
-        term = mats[:, live]
-        term *= sign[bit][live]
-        term *= col[:, None]
-        out[:, live ^ bit] += term
-    return out
-
-
 @dataclass(frozen=True)
 class BiaxialPoint:
     """Point (x, y) of R^p x R^q together with its algebra embedding.

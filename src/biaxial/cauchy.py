@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BiaxialPoint, Multivector, batch_vector_mv
+from .algebra import BiaxialPoint, Multivector, batch_product
 from .fields import AxialField
 from .quadrature import HemisphereRule, SphereRule, sphere_area
 from .special import hyp2f1_symmetric
@@ -251,14 +251,13 @@ def reconstruct_ab_variants(field: AxialField, pt: BiaxialPoint, hrule: Hemisphe
         mom += _node_moments(field, r, pt.y, hrule.theta_nodes[i_theta],
                              hrule.nu.points[i_nu], w)
     mom /= sphere_area(dim)
-    y_basis = np.eye(dim)[p:]
-    nu_a = batch_vector_mv(y_basis, mom[0, 2:], dim).sum(axis=0)
-    nu_b = batch_vector_mv(y_basis, mom[1, 2:], dim).sum(axis=0)
+    y_basis = np.eye(1 << dim)[1 << np.arange(p, dim)]  # coefficient rows of e_{p+1}..e_{p+q}
+    nu_a = batch_product(y_basis, mom[0, 2:], dim).sum(axis=0)
+    nu_b = batch_product(y_basis, mom[1, 2:], dim).sum(axis=0)
     core = nu_a - mom[1, 1]
     odd = nu_b - mom[0, 1]
-    y_vec = np.zeros((2, dim))
-    y_vec[:, p:] = pt.y
-    y_core, y_odd = batch_vector_mv(y_vec, np.stack([core, odd]), dim)
+    y_mv = pt.embed_y_vector(pt.y)
+    y_core, y_odd = ((y_mv * Multivector._wrap(dim, v)).coeffs for v in (core, odd))
     a_full = Multivector(dim, mom[0, 0] + y_core)
     return {
         "full": (a_full, Multivector(dim, r * core)),
@@ -315,7 +314,7 @@ class FullBallCauchy:
         # Bilinearity, with eta eta = -|eta|^2:
         # sum scale (z - eta) eta f = z sum_i e_i (sum scale eta_i f) + sum scale |eta|^2 f.
         moments = (scale[:, None] * eta).T @ self._f
-        eta_f = batch_vector_mv(np.eye(dim), moments, dim).sum(axis=0)
-        total = batch_vector_mv(z[None, :], eta_f[None, :], dim)[0]
-        total += (scale * self._eta2) @ self._f
+        eta_f = batch_product(np.eye(1 << dim)[1 << np.arange(dim)], moments, dim).sum(axis=0)
+        total = (pt.embed() * Multivector._wrap(dim, eta_f)).coeffs
+        total = total + (scale * self._eta2) @ self._f
         return Multivector(dim, total / sphere_area(dim))

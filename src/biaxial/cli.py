@@ -65,6 +65,14 @@ def _check_finite(name: str, text, *values) -> None:
         raise ConfigError(f"{name} must hold finite numbers, got {text!r}")
 
 
+def _parse_floats(name: str, text: str) -> np.ndarray:
+    """The comma-separated numbers of option name."""
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"{name} must be comma-separated numbers, got {text!r}") from exc
+
+
 @dataclasses.dataclass
 class RunConfig:
     p: int
@@ -95,7 +103,7 @@ def _build_config(args) -> RunConfig:
         s = np.zeros(q)
         s[0] = 1.0
     else:
-        s = np.array([float(v) for v in args.s.split(",")])
+        s = _parse_floats("--s", args.s)
         _check_finite("--s", args.s, s)
         if s.size != q:
             raise ConfigError(f"direction s needs {q} components, got {s.size}")
@@ -498,12 +506,14 @@ def _cmd_kernel_table(cfg: RunConfig, args):
     if cfg.q < 2:
         raise ConfigError("kernel-table needs q >= 2")
     _check_finite("--tol", args.tol, args.tol)
+    if args.tol < 0:
+        raise ConfigError(f"--tol must be >= 0, got {args.tol!r}")
     rs = _parse_range(args.grid_r, "--grid-r")
     thetas = _parse_range(args.grid_theta, "--grid-theta")
     if args.y is None:
         y = np.zeros(cfg.q)
     else:
-        y = np.array([float(v) for v in args.y.split(",")])
+        y = _parse_floats("--y", args.y)
         _check_finite("--y", args.y, y)
         if y.size != cfg.q:
             raise ConfigError(f"--y needs {cfg.q} components")
@@ -533,9 +543,8 @@ def _reconstruct_points(cfg: RunConfig, args):
         for spec in args.points:
             try:
                 xs, ys = spec.split(";")
-                x = np.array([float(v) for v in xs.split(",")])
-                y = np.array([float(v) for v in ys.split(",")])
-            except ValueError as exc:
+                x, y = _parse_floats("--points", xs), _parse_floats("--points", ys)
+            except ValueError as exc:  # also ConfigError: a bad number gets this message too
                 raise ConfigError(f"point must look like x1,..;y1,.., got {spec!r}") from exc
             _check_finite("--points", spec, x, y)
             if x.size != cfg.p or y.size != cfg.q:

@@ -456,15 +456,12 @@ def lift_axial(mv: Multivector, u: np.ndarray, p: int, q: int) -> Multivector:
     """
     if mv.dim != q + 1:
         raise ValueError(f"expected a ({q + 1})-generator value, got dim {mv.dim}")
-    dim = p + q
-    u = np.asarray(u, dtype=np.float64)
-    u_mv = embed_vector(dim, 0, u)
-    out = Multivector.zero(dim)
-    for mask in np.flatnonzero(mv.coeffs):
-        mask = int(mask)
-        big = Multivector.blade(dim, (mask >> 1) << p, mv.coeffs[mask])
-        out = out + (u_mv * big if mask & 1 else big)
-    return out
+    ymasks = np.arange(1 << q) << p
+    a, b = np.zeros((2, 1 << (p + q)), dtype=np.complex128)
+    a[ymasks] = mv.coeffs[0::2]  # e_Y in the reduced picture
+    b[ymasks] = mv.coeffs[1::2]  # e e_Y
+    _add_unit_times(a, b, np.asarray(u, dtype=np.float64), p, q)
+    return Multivector._wrap(p + q, a)
 
 
 def modified_dirac_correspondence(f, p: int, q: int, pt: BiaxialPoint, h: float = 1e-4):

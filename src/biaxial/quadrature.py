@@ -9,7 +9,7 @@ here including the singular alpha = -1/2 case.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,14 +132,12 @@ def sphere_rule(d: int, resolution: int = 64) -> SphereRule:
 
 @dataclass(frozen=True)
 class HemisphereRule:
-    """Product rule for the polar split of S^{p+q-1}.
+    """theta x nu rule for the polar split of S^{p+q-1}: eta = cos(theta) omega + sin(theta) nu.
 
-    theta_weights already carry the cos^{p-1} sin^{q-1} surface factor, so
-    summing g(theta, omega, nu) w_theta w_omega w_nu integrates g dS over
-    the whole sphere under eta = cos(theta) omega + sin(theta) nu.  The
-    omega rule on S^{p-1} is built from resolution on first use, because
-    its node count grows like resolution^(p-1) and the hemisphere
-    reconstruction never reads it.
+    theta_weights carry the cos^{p-1} sin^{q-1} surface factor, so summing
+    g w_theta w_omega w_nu with any S^{p-1} rule integrates g dS over the
+    sphere.  The omega integral is closed (the moments I and Phi of
+    biaxial.cauchy), so the rule holds no omega factor.
     """
 
     p: int
@@ -147,43 +145,17 @@ class HemisphereRule:
     theta_nodes: np.ndarray
     theta_weights: np.ndarray
     nu: SphereRule
-    resolution: int
-
-    @cached_property
-    def omega(self) -> SphereRule:
-        return sphere_rule(self.p, self.resolution)
-
-    @property
-    def total_weight(self) -> float:
-        return float(
-            np.sum(self.theta_weights) * self.omega.total_weight * self.nu.total_weight
-        )
-
-    def sphere_points(self):
-        """Pulled-back sphere nodes eta and weights, theta-major order."""
-        pts = []
-        wts = []
-        for theta, wt in zip(self.theta_nodes, self.theta_weights):
-            c, s = math.cos(theta), math.sin(theta)
-            for om, wo in zip(self.omega.points, self.omega.weights):
-                block = np.concatenate(
-                    [np.tile(c * om, (len(self.nu.points), 1)), s * self.nu.points],
-                    axis=1,
-                )
-                pts.append(block)
-                wts.append(wt * wo * self.nu.weights)
-        return np.concatenate(pts), np.concatenate(wts)
 
 
 def hemisphere_rule(p: int, q: int, resolution: int = 64) -> HemisphereRule:
-    """Tensor rule over S^{p-1} x S^{q-1} x [0, pi/2] with folded weights."""
+    """Tensor rule over [0, pi/2] x S^{q-1} with folded weights."""
     if p < 2 or q < 2:
         raise ValueError(f"need p, q >= 2, got p={p}, q={q}")
     base = gauss_jacobi_rule(resolution, 0.0)
     theta = 0.25 * math.pi * (base.nodes + 1.0)
     wt = 0.25 * math.pi * base.weights
     wt = wt * np.cos(theta) ** (p - 1) * np.sin(theta) ** (q - 1)
-    return HemisphereRule(p, q, theta, wt, sphere_rule(q, resolution), resolution)
+    return HemisphereRule(p, q, theta, wt, sphere_rule(q, resolution))
 
 
 def _harmonic(k: int, m: int):

@@ -5,14 +5,16 @@ and batched_part wrapped them for one point.  value_at assembled
 A + (x/|x|) B with a full geometric product, and the boundary rows with
 batch_vector_mv.  The factories here build library AxialField objects
 from those closures; value_at and boundary_rows take the field as their
-first argument.  The tests hold the library to this module bit for bit.
+first argument.  lift_axial added one Multivector.blade, times the
+embedded u for the e-carrying blades, per nonzero reduced blade.  The
+tests hold the library to this module bit for bit.
 """
 
 from typing import Callable
 
 import numpy as np
 
-from biaxial.algebra import BiaxialPoint, Multivector, batch_vector_mv, embed_vector
+from biaxial.algebra import BiaxialPoint, Multivector, embed_vector
 from biaxial.fields import AxialField, _unit
 from biaxial.planewave import (
     MAX_POLY_DEGREE,
@@ -20,6 +22,7 @@ from biaxial.planewave import (
     _fourier_profile,
     _poly_radial_coeffs,
 )
+from probe_reference import batch_vector_mv
 
 
 def value_at(field: AxialField, pt: BiaxialPoint) -> Multivector:
@@ -168,3 +171,23 @@ def fourier_axial_field(p: int, q: int, s) -> AxialField:
         return _scalar_rows(dim, be * np.exp(1j * (y @ s)))
 
     return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
+
+
+def lift_axial(mv: Multivector, u: np.ndarray, p: int, q: int) -> Multivector:
+    """Map a reduced-picture value into the full algebra at x-direction u.
+
+    The axial generator e becomes the embedded unit vector u on the x
+    generators; y generators shift onto e_{p+1}..e_{p+q}.  This is an
+    algebra map because u^2 = -1 and u anticommutes with the y block.
+    """
+    if mv.dim != q + 1:
+        raise ValueError(f"expected a ({q + 1})-generator value, got dim {mv.dim}")
+    dim = p + q
+    u = np.asarray(u, dtype=np.float64)
+    u_mv = embed_vector(dim, 0, u)
+    out = Multivector.zero(dim)
+    for mask in np.flatnonzero(mv.coeffs):
+        mask = int(mask)
+        big = Multivector.blade(dim, (mask >> 1) << p, mv.coeffs[mask])
+        out = out + (u_mv * big if mask & 1 else big)
+    return out

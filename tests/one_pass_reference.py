@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
-from biaxial.algebra import Multivector, batch_vector_mv
+from biaxial.algebra import Multivector
 from biaxial.cauchy import _MIN_BOUNDARY_DISTANCE, _check_interior
 from biaxial.quadrature import SphereRule, sphere_area
+from probe_reference import batch_vector_mv
 
 
 def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,

@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
-from biaxial.algebra import Multivector, batch_vector_mv, embed_vector
+from biaxial.algebra import Multivector, embed_vector
 from biaxial.cauchy import KernelParams, kernel_I_closed, kernel_phi
 from biaxial.quadrature import gauss_jacobi_rule, sphere_area
+from probe_reference import batch_vector_mv
 
 PHI_NODES = 96
 

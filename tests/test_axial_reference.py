@@ -1,5 +1,5 @@
-"""The axial families, value_at and boundary_value against the assembly
-they replaced (tests/axial_reference.py), bit for bit.
+"""The axial families, value_at, boundary_value and lift_axial against the
+assembly they replaced (tests/axial_reference.py), bit for bit.
 
 Bytes are compared, so a zero must keep its sign.  The points include
 r = 0, x along one axis, y = 0 and sphere nodes with |x| below the 1e-12
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import axial_reference as ref
 from biaxial.algebra import BiaxialPoint, Multivector, embed_vector
-from biaxial.fields import AxialField, constant_field, linear_monogenic_field
+from biaxial.fields import AxialField, constant_field, lift_axial, linear_monogenic_field
 from biaxial.planewave import exp_hpw_axial_field, fourier_axial_field, poly_hpw_axial_field
 
 SPLITS = ((2, 1), (2, 2), (3, 2), (2, 3), (4, 4), (5, 3))
@@ -125,3 +125,16 @@ def test_scalar_only_fields_keep_their_value_at(case):
         for x, y in zip(xs, ys):
             pt = BiaxialPoint(p, q, x, y)
             _same(field.value_at(pt), ref.value_at(field, pt))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split=st.sampled_from(SPLITS), data=st.data())
+def test_lift_axial_matches_the_per_blade_loop(split, data):
+    p, q = split
+    size = 1 << (q + 1)
+    # Real and imaginary parts side by side, with zero blades and -0.0 parts.
+    part = st.sampled_from((0.0, -0.0)) | coordinate
+    parts = data.draw(st.lists(part, min_size=2 * size, max_size=2 * size))
+    mv = Multivector(q + 1, np.array(parts).view(np.complex128))
+    u = _vector(data.draw, p, 1.0)
+    _same(lift_axial(mv, u, p, q), ref.lift_axial(mv, u, p, q))

@@ -157,7 +157,7 @@ def test_kernels_take_theta_in_the_rounding_slack_above_half_pi():
     rule = hemisphere_rule(2, 2, 8)
     theta = rule.theta_nodes.copy()
     theta[-1] = 0.5 * math.pi + 5e-13
-    slack = HemisphereRule(2, 2, theta, rule.theta_weights, rule.nu, 8)
+    slack = HemisphereRule(2, 2, theta, rule.theta_weights, rule.nu)
     pt = BiaxialPoint(2, 2, np.array([0.3, 0.0]), y)
     got = reconstruct_ab_variants(constant_field(2, 2), pt, slack)["corrected"]
     assert got[0].coeffs[0].real == pytest.approx(1.0, abs=1e-3)

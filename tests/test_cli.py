@@ -186,8 +186,8 @@ def test_stdout_output(capsys):
 
 
 def test_verify_cauchy_dim_8_exits_before_building_omega(monkeypatch, capsys):
-    # hemisphere_rule(6, 2, 40) must not build its S^5 omega factor
-    # (about 1e8 nodes): the dim-8 ball rule rejects the call first.
+    # No S^5 rule (about 1e8 nodes at res 40) may be requested: the
+    # dim-8 ball rule rejects the call first.
     import biaxial.cli as cli
     import biaxial.quadrature as quadrature
 
@@ -268,4 +268,28 @@ def test_non_finite_inputs_exit_2_naming_the_option(tmp_path, capsys, args, opti
     assert run(args + ["--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error.startswith(option + " ") and "finite" in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, option", [
+    (["verify", "dirac", "--s", "1,a"], "--s"),
+    (["verify", "dirac", "--s", "1,,0"], "--s"),
+    (["kernel-table", "--y", "0,x"], "--y"),
+    (["kernel-table", "--tol", "-1"], "--tol"),
+])
+def test_malformed_vectors_and_tolerances_exit_2_naming_the_option(tmp_path, capsys, args,
+                                                                   option):
+    out = tmp_path / "never.json"
+    assert run(args + ["--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(option + " ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["0.3,a;0,0", "0.3,0;0,,0", "0.3,0"])
+def test_malformed_points_keep_the_format_message(tmp_path, capsys, spec):
+    out = tmp_path / "never.json"
+    assert run(["reconstruct", "--points", spec, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"point must look like x1,..;y1,.., got {spec!r}"
     assert not out.exists()

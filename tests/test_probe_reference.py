@@ -1,12 +1,14 @@
-"""The probed 2F1 series and the live-column batch_vector_mv against the
-code they replaced (tests/probe_reference.py), bit for bit."""
+"""The probed 2F1 series against the code it replaced, and batch_product
+on vector rows against batch_vector_mv, the deleted vector-times-multivector
+kernel (both kept in tests/probe_reference.py), bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from biaxial.algebra import batch_vector_mv
+from biaxial.algebra import batch_product
 from biaxial.special import _MAX_TERMS, _TERM_EPS, _hyp2f1_series
 
 import probe_reference as reference
@@ -75,13 +77,21 @@ def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _vector_product(comps, mats, dim):
+    """v_n M_n for the rows n of comps (N, dim) and mats (N, 2^dim), through
+    batch_product on the generator coefficient rows of comps."""
+    rows = np.zeros((comps.shape[0], 1 << dim))
+    rows[:, 1 << np.arange(dim)] = comps
+    return batch_product(rows, mats, dim)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 4, 5, 8])
 @pytest.mark.parametrize("rows", [1, 7])
 def test_batch_vector_mv_equals_the_full_gather_on_dense_rows(dim, rows):
     rng = np.random.default_rng(dim * 10 + rows)
     comps = rng.standard_normal((rows, dim))
     mats = _complex(rng, (rows, 1 << dim))
-    _same(batch_vector_mv(comps, mats, dim), reference.batch_vector_mv(comps, mats, dim))
+    _same(_vector_product(comps, mats, dim), reference.batch_vector_mv(comps, mats, dim))
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 8])
@@ -102,12 +112,39 @@ def test_batch_vector_mv_equals_the_full_gather_on_sparse_rows(dim):
     mats[1::3, live[-1]] = complex(0.0, -0.0)
     mats[:, live[1]] = mats[:, live[1]].real + 0.0j
     mats[:, live[2]] = 1j * mats[:, live[2]].imag
-    _same(batch_vector_mv(comps, mats, dim), reference.batch_vector_mv(comps, mats, dim))
+    _same(_vector_product(comps, mats, dim), reference.batch_vector_mv(comps, mats, dim))
 
 
 def test_batch_vector_mv_equals_the_full_gather_on_zero_input():
     comps = np.zeros((3, 4))
     mats = np.full((3, 16), complex(-0.0, -0.0))
-    _same(batch_vector_mv(comps, mats, 4), reference.batch_vector_mv(comps, mats, 4))
+    _same(_vector_product(comps, mats, 4), reference.batch_vector_mv(comps, mats, 4))
     comps[:, 1] = 1.0
-    _same(batch_vector_mv(comps, mats, 4), reference.batch_vector_mv(comps, mats, 4))
+    _same(_vector_product(comps, mats, 4), reference.batch_vector_mv(comps, mats, 4))
+
+
+@st.composite
+def vector_batches(draw):
+    """(dim, comps, mats) with all-zero component columns and rows, all-zero
+    blade columns and rows, and -0.0 parts in both factors."""
+    dim = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    size = 1 << dim
+    part = st.floats(-4.0, 4.0, allow_subnormal=False) | st.just(-0.0)
+    zero = st.sampled_from([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+                            complex(-0.0, -0.0)])
+    comps = draw(arrays(np.float64, (n, dim), elements=part))
+    # Real and imaginary parts side by side, so a -0.0 part survives.
+    mats = draw(arrays(np.float64, (n, size, 2), elements=part)).view(np.complex128)[..., 0]
+    comps[:, draw(arrays(np.bool_, dim))] = draw(st.sampled_from([0.0, -0.0]))
+    comps[draw(arrays(np.bool_, n))] = draw(st.sampled_from([0.0, -0.0]))
+    mats[:, draw(arrays(np.bool_, size))] = draw(zero)
+    mats[draw(arrays(np.bool_, n))] = draw(zero)
+    return dim, comps, mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_batches())
+def test_batch_product_on_vector_rows_equals_batch_vector_mv(batch):
+    dim, comps, mats = batch
+    _same(_vector_product(comps, mats, dim), reference.batch_vector_mv(comps, mats, dim))
