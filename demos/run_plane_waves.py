@@ -1,15 +1,14 @@
 # Exponential plane waves two ways: the coefficient recurrence and the
 # Bessel-J closed form.  The extension of exp(<y, s>) is the same recurrence
-# with D_0 = 0, and its closed form ck_bessel_form is the same Bessel-J wave.
+# with D_0 = 0, and its closed form is the same Bessel-J wave, hpw_exp_closed.
 # The two routes agree to machine precision and are annihilated by the
 # first-order operator.
 
 import numpy as np
 
 from biaxial.algebra import BiaxialPoint
-from biaxial.fields import dirac_apply_fd, series_axial_parts
+from biaxial.fields import dirac_apply_fd, eval_series, series_axial_parts
 from biaxial.planewave import (
-    eval_planewave,
     exp_coeffs_closed,
     exp_hpw_series,
     hpw_exp_closed,
@@ -38,7 +37,7 @@ for r in (0.0, 0.5, 1.0, 1.5, 2.0):
     x[0] = r
     pt = BiaxialPoint(p, q, x, np.array([0.4, -0.2]))
     closed = hpw_exp_closed(pt, s)
-    via_series = eval_planewave(series, pt)[0]
+    via_series = eval_series(series, pt)[0]
     rows.append((r, (closed - via_series).norm_inf))
 print("|x|   closed-vs-series")
 for r, e1 in rows:
@@ -56,5 +55,5 @@ print()
 # Axial split into the even part A and the odd part B, and back.
 a_part, b_part = series_axial_parts(series, pt.r, pt.y)
 assembled = a_part + pt.embed_unit_x() * b_part
-direct = eval_planewave(series, pt)[0]
+direct = eval_series(series, pt)[0]
 print(f"axial split round-trip gap: {(assembled - direct).norm_inf:.3e}")

@@ -170,11 +170,6 @@ class Multivector:
         out = np.where(grades == k, self.coeffs, 0.0 + 0.0j)
         return Multivector._wrap(self.dim, out)
 
-    def grade_involution(self) -> "Multivector":
-        """Main involution: each grade-k part scaled by (-1)^k."""
-        grades = blade_grades(self.dim)
-        return Multivector._wrap(self.dim, np.where(grades % 2 == 0, 1, -1) * self.coeffs)
-
     @property
     def scalar_part(self) -> complex:
         return complex(self.coeffs[0])
@@ -320,18 +315,6 @@ class BiaxialPoint:
         if v.shape != (self.q,):
             raise ValueError(f"expected {self.q} components, got shape {v.shape}")
         return Multivector.vector(self.dim, np.concatenate([np.zeros(self.p), v]))
-
-    def shifted(self, coord: int, delta: float) -> "BiaxialPoint":
-        """Point with one of the p+q coordinates displaced by delta."""
-        if not 0 <= coord < self.dim:
-            raise ValueError(f"coordinate index {coord} out of range")
-        x = self.x.copy()
-        y = self.y.copy()
-        if coord < self.p:
-            x[coord] += delta
-        else:
-            y[coord - self.p] += delta
-        return BiaxialPoint(self.p, self.q, x, y)
 
 
 def embed_vector(dim: int, offset: int, v) -> Multivector:

@@ -6,10 +6,10 @@ The module provides those fields, the closed function class
 P(t) e^{lambda t} in t = <y, s>, the one series engine for plane waves
 sum_j x^j (C_j + s D_j) (the (C_j, D_j) recurrence, its evaluator and its
 axial split; the power-series extension of initial data f(0, y) is the
-recurrence with D_0 = 0), finite-difference Dirac and Vekua residuals,
-and the axial-operator form e d_r + d_y + ((p-1)/r) e. acting in the
-reduced (q+1)-generator picture.  ck_bessel_form, the closed extension
-of exp(<y, s>), is biaxial.planewave's exponential wave.
+recurrence with D_0 = 0), and the Dirac, Vekua and reduced-operator
+e d_r + d_y + ((p-1)/r) e. residuals, all by one central-difference rule.
+ck_bessel_form, the closed extension of exp(<y, s>), is
+biaxial.planewave's exponential wave.
 """
 
 import cmath
@@ -34,11 +34,6 @@ def beta(j: int, p: int) -> int:
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
     return -j if j % 2 == 0 else -(j + p - 1)
-
-
-def _check_step(h: float) -> None:
-    if not FD_STEP_MIN <= h <= FD_STEP_MAX:
-        raise ValueError(f"finite-difference step must lie in [{FD_STEP_MIN}, {FD_STEP_MAX}]")
 
 
 def _unit(s) -> np.ndarray:
@@ -93,14 +88,12 @@ class ExpLinear:
         return acc * cmath.exp(lam * t) if lam != 0 else acc
 
     def d_dt(self) -> "ExpLinear":
-        n = self.poly.size
-        deriv = self.poly[1:] * np.arange(1, n) if n > 1 else np.zeros(0, dtype=complex)
+        deriv = self.poly[1:] * np.arange(1, self.poly.size)
         lam = complex(self.lam)
         if lam == 0:
             out = deriv if deriv.size else np.zeros(1, dtype=complex)
         else:
             out = lam * self.poly
-            out = out.copy()
             out[: deriv.size] += deriv
         return ExpLinear(self.lam, self.s, out)
 
@@ -373,17 +366,36 @@ def ck_bessel_form(pt: BiaxialPoint, s) -> Multivector:
     return hpw_exp_closed(pt, s)
 
 
+def _central_difference(g: Callable, c: np.ndarray, first: int, dim: int, r: float,
+                        h: float) -> Multivector:
+    """sum_i e_{first+i} (g(c + h u_i) - g(c - h u_i)) / 2h over the coordinates c.
+
+    The one finite-difference rule of the residuals: g maps a coordinate
+    array to a dim-generator Multivector, u_i is the i-th unit vector, and
+    generators count from 1.  r is the point's distance from the x = 0
+    axis, which the step must not cross.
+    """
+    if not FD_STEP_MIN <= h <= FD_STEP_MAX:
+        raise ValueError(f"finite-difference step must lie in [{FD_STEP_MIN}, {FD_STEP_MAX}]")
+    if r <= 2.0 * h:
+        raise ValueError(f"need |x| > 2h = {2.0 * h:g} for the step size, got |x| = {r:g}")
+
+    def at(i, delta):
+        moved = c.copy()
+        moved[i] += delta
+        return g(moved)
+
+    acc = Multivector.zero(dim)
+    for i in range(c.size):
+        acc = acc + Multivector.basis_vector(dim, first + i) * ((at(i, h) - at(i, -h)) / (2.0 * h))
+    return acc
+
+
 def dirac_apply_fd(f, pt: BiaxialPoint, h: float = 1e-4) -> Multivector:
     """Central-difference (d_x + d_y) f: sum_i e_i (f(pt+h e_i) - f(pt-h e_i)) / 2h."""
-    _check_step(h)
-    if pt.r <= 2.0 * h:
-        raise ValueError("evaluation too close to the x = 0 axis for the step size")
-    dim = pt.dim
-    acc = Multivector.zero(dim)
-    for i in range(dim):
-        diff = f(pt.shifted(i, h)) - f(pt.shifted(i, -h))
-        acc = acc + Multivector.basis_vector(dim, i + 1) * (diff / (2.0 * h))
-    return acc
+    p, q = pt.p, pt.q
+    return _central_difference(lambda c: f(BiaxialPoint(p, q, c[:p], c[p:])),
+                               np.concatenate([pt.x, pt.y]), 1, pt.dim, pt.r, h)
 
 
 def dirac_residual_relative(f, pt: BiaxialPoint, h: float = 1e-4) -> float:
@@ -399,27 +411,16 @@ def vekua_residual(field: AxialField, r: float, y: np.ndarray, h: float = 1e-4):
     both by central differences; Dirac-null axial fields satisfy
     res1 = res2 = 0.
     """
-    _check_step(h)
-    if r <= 2.0 * h:
-        raise ValueError("need r > 2h")
     y = np.asarray(y, dtype=np.float64)
     p, q = field.p, field.q
-    dim = p + q
 
     def dy(g):
-        acc = Multivector.zero(dim)
-        for i in range(q):
-            step = np.zeros(q)
-            step[i] = h
-            diff = g(r, y + step) - g(r, y - step)
-            acc = acc + Multivector.basis_vector(dim, p + i + 1) * (diff / (2.0 * h))
-        return acc
+        return _central_difference(lambda c: g(r, c), y, p + 1, p + q, r, h)
 
     def dr(g):
         return (g(r + h, y) - g(r - h, y)) / (2.0 * h)
 
-    b_here = field.B(r, y)
-    res1 = dy(field.A) - dr(field.B) - ((p - 1.0) / r) * b_here
+    res1 = dy(field.A) - dr(field.B) - ((p - 1.0) / r) * field.B(r, y)
     res2 = dy(field.B) - dr(field.A)
     return res1, res2
 
@@ -429,22 +430,13 @@ def modified_dirac_residual(f, p: int, q: int, r: float, y: np.ndarray,
     """Apply e d_r + d_y + ((p-1)/r) e. in the reduced (q+1)-generator picture.
 
     f maps (r, y) to a multivector over generators (e, y_1, ..., y_q) with
-    e on generator 1; the interior multiplication supplies the e. term.
+    e on generator 1; e d_r + d_y is the central-difference rule on the
+    coordinates (r, y), and the interior multiplication supplies the e. term.
     """
-    _check_step(h)
-    if r <= 2.0 * h:
-        raise ValueError("need r > 2h")
     y = np.asarray(y, dtype=np.float64)
-    dim = q + 1
-    e_mv = Multivector.basis_vector(dim, 1)
-    drf = (f(r + h, y) - f(r - h, y)) / (2.0 * h)
-    acc = e_mv * drf
-    for i in range(q):
-        step = np.zeros(q)
-        step[i] = h
-        diff = f(r, y + step) - f(r, y - step)
-        acc = acc + Multivector.basis_vector(dim, i + 2) * (diff / (2.0 * h))
-    return acc + ((p - 1.0) / r) * vector_interior(e_mv, f(r, y))
+    acc = _central_difference(lambda c: f(float(c[0]), c[1:]), np.concatenate([[r], y]),
+                              1, q + 1, r, h)
+    return acc + ((p - 1.0) / r) * vector_interior(Multivector.basis_vector(q + 1, 1), f(r, y))
 
 
 def lift_axial(mv: Multivector, u: np.ndarray, p: int, q: int) -> Multivector:

@@ -64,12 +64,17 @@ def exp_hpw_series(p: int, q: int, s, J: int = 40) -> PlaneWaveSeries:
     return ck_extend(ExpLinear.exponential(s), p, q, J)
 
 
+# Below this |x| a Bessel profile is its leading term to double precision (k = 0:
+# its r = 0 value; k = 1: c r/p, c = 1 or |S^{p-1}|), and r^{p/2-1} underflows.
+_PROFILE_TINY_R = 1e-8
+
+
 def _exp_profile(p: int, r: float, k: int) -> float:
     """Radial coefficient of 1 (k = 0) or of (x/|x|) s (k = 1) in the
     exponential family's Bessel closed form: scale(r) J_{p/2-1+k}(r)."""
     half_p = 0.5 * p
-    if r == 0.0:
-        return (1.0, 0.0)[k]
+    if 0.0 <= r < _PROFILE_TINY_R:
+        return (1.0, r / p)[k]
     scale = 2.0 ** (half_p - 1.0) * gamma_fn(half_p) / r ** (half_p - 1.0)
     return scale * bessel_j(half_p - 1.0 + k, r)
 
@@ -186,8 +191,8 @@ def _fourier_profile(p: int, r: float, k: int) -> complex:
     i I_{(p-2)/2}(r) for k = 0 and I_{p/2}(r) for k = 1; at r = 0 the
     pair is (i |S^{p-1}|, 0).
     """
-    if r == 0.0:
-        return (1j * sphere_area(p), 0.0)[k]
+    if 0.0 <= r < _PROFILE_TINY_R:
+        return (1j * sphere_area(p), sphere_area(p) * r / p)[k]
     kappa = sphere_area(p - 1)
     const = math.sqrt(math.pi) * kappa * 2.0 ** (0.5 * (p - 2.0)) * gamma_fn(0.5 * (p - 1.0))
     const /= r ** (0.5 * (p - 2.0))

@@ -16,7 +16,8 @@ import numpy as np
 from .special import gegenbauer_normalized
 
 # Node budget of sphere_rule: admits sphere_rule(4, 96) = 884,736 nodes,
-# the finest rule the CLI requests.
+# the finest rule the CLI requests.  It also bounds the entries of
+# gauss_jacobi_rule's dense Jacobi matrix, so n <= 1,000.
 MAX_SPHERE_NODES = 1_000_000
 
 
@@ -35,13 +36,6 @@ class IntervalRule:
     weights: np.ndarray
     alpha: float
 
-    def integrate(self, fn) -> float:
-        return float(np.dot(self.weights, fn(self.nodes)))
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
 
 @lru_cache(maxsize=None)
 def gauss_jacobi_rule(n: int, alpha: float) -> IntervalRule:
@@ -52,6 +46,9 @@ def gauss_jacobi_rule(n: int, alpha: float) -> IntervalRule:
     """
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
+    if n * n > MAX_SPHERE_NODES:
+        raise ValueError(f"gauss_jacobi_rule({n}, {alpha}) needs a {n} x {n} Jacobi matrix, "
+                         f"above the limit of {MAX_SPHERE_NODES} entries")
     if alpha <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {alpha}")
     mu0 = math.sqrt(math.pi) * math.gamma(alpha + 1.0) / math.gamma(alpha + 1.5)
@@ -84,15 +81,6 @@ class SphereRule:
     dim: int
     points: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, fn) -> complex:
-        """Sum fn(points) with weights; fn must accept an (N, dim) array."""
-        values = np.asarray(fn(self.points))
-        return np.tensordot(self.weights, values, axes=(0, 0))
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def sphere_rule(d: int, resolution: int = 64) -> SphereRule:

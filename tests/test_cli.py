@@ -293,3 +293,28 @@ def test_malformed_points_keep_the_format_message(tmp_path, capsys, spec):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == f"point must look like x1,..;y1,.., got {spec!r}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, p, stop", [("exp-hpw", 7, "1e-130"),
+                                            ("fourier-kernel", 6, "1e-158")])
+def test_eval_at_tiny_radius_gives_the_axis_limit(tmp_path, field, p, stop):
+    # |x|^{p/2-1} underflows at these radii; the profiles must not divide by it.
+    out = tmp_path / "tiny.json"
+    code = run(["eval", field, "--p", str(p), "--q", str(8 - p), "--grid-r", f"0:{stop}:2",
+                "--out", str(out)])
+    assert code == 0
+    rows = json.loads(out.read_text())["rows"]
+    # Rows run over t for r = 0, then for the tiny r; values follow 8 coordinates.
+    for axis, tiny in zip(rows[:5], rows[5:]):
+        for want, got in zip(axis[8:], tiny[8:]):
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_over_budget_jacobi_rule_exits_2_naming_it(tmp_path, capsys):
+    import biaxial.quadrature as quadrature
+
+    out = tmp_path / "never.json"
+    assert run(["verify", "funkhecke", "--p", "2", "--res", "1001", "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "1001 x 1001" in error and str(quadrature.MAX_SPHERE_NODES) in error
+    assert not out.exists()

@@ -10,6 +10,7 @@ import pytest
 
 import cli_reference as ref
 from biaxial import cli
+from biaxial.rng import SplitMix64
 
 CASES = [(suite, p, q) for suite in ("algebra", "kernel", "funkhecke")
          for p, q in ((2, 2), (3, 2), (4, 4))] + [("funkhecke", 5, 2)]
@@ -26,6 +27,7 @@ def bits(checks):
 def test_suite_matches_per_sample_reference(suite, p, q, seed):
     argv = ["verify", suite, "--p", str(p), "--q", str(q), "--seed", str(seed)]
     cfg = cli._build_config(cli.build_parser().parse_args(argv))
-    got = cli._SUITE_RUNNERS[suite](cfg)
+    rows = cli._SUITE_RUNNERS[suite](cfg, SplitMix64(cfg.seed))
+    got = [cli._check(*row) for row in rows]
     want = ref.SUITES[suite](cfg)
     assert bits(got) == bits(want)

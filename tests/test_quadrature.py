@@ -15,6 +15,15 @@ from biaxial.quadrature import (
 from quadrature_reference import sphere_rule_repeat_tile
 
 
+def _integrate(rule, fn) -> float:
+    """Weighted sum of fn over the nodes of an interval rule."""
+    return float(np.dot(rule.weights, fn(rule.nodes)))
+
+
+def _total_weight(rule) -> float:
+    return float(np.sum(rule.weights))
+
+
 def test_sphere_area_values():
     assert sphere_area(1) == pytest.approx(2.0)
     assert sphere_area(2) == pytest.approx(2.0 * math.pi)
@@ -24,25 +33,25 @@ def test_sphere_area_values():
 
 def test_gauss_legendre_exactness():
     rule = gauss_jacobi_rule(2, 0.0)
-    assert rule.integrate(lambda t: t ** 2) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert _integrate(rule, lambda t: t ** 2) == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
 def test_chebyshev_total_weight():
     rule = gauss_jacobi_rule(16, -0.5)
-    assert rule.total_weight == pytest.approx(math.pi, rel=1e-13)
+    assert _total_weight(rule) == pytest.approx(math.pi, rel=1e-13)
 
 
 def test_weighted_even_moment():
     # Int u^2 (1-u^2)^(1/2) du = Gamma(3/2)^2 / Gamma(3) = pi/8.
     rule = gauss_jacobi_rule(8, 0.5)
-    assert rule.integrate(lambda u: u ** 2) == pytest.approx(math.pi / 8.0, rel=1e-13)
+    assert _integrate(rule, lambda u: u ** 2) == pytest.approx(math.pi / 8.0, rel=1e-13)
 
 
 def test_total_weight_matches_beta_integral():
     for alpha in (-0.5, 0.0, 0.5, 1.5):
         rule = gauss_jacobi_rule(24, alpha)
         expected = math.sqrt(math.pi) * math.gamma(alpha + 1.0) / math.gamma(alpha + 1.5)
-        assert rule.total_weight == pytest.approx(expected, rel=1e-13)
+        assert _total_weight(rule) == pytest.approx(expected, rel=1e-13)
 
 
 def test_polynomial_exactness_to_degree():
@@ -53,14 +62,14 @@ def test_polynomial_exactness_to_degree():
             / (math.gamma(deg / 2.0 + 1.0) * math.gamma((deg + 1) / 2.0 + 2.5)) \
             * math.gamma((deg + 1) / 2.0 + 0.5) / math.gamma(0.5)
         # Compare against a fine reference rule instead of juggling Beta identities.
-        ref = gauss_jacobi_rule(64, 1.0).integrate(lambda t, d=deg: t ** d)
-        assert rule.integrate(lambda t, d=deg: t ** d) == pytest.approx(ref, abs=1e-14)
+        ref = _integrate(gauss_jacobi_rule(64, 1.0), lambda t, d=deg: t ** d)
+        assert _integrate(rule, lambda t, d=deg: t ** d) == pytest.approx(ref, abs=1e-14)
 
 
 def test_odd_moments_vanish():
     rule = gauss_jacobi_rule(9, 0.5)
     for deg in (1, 3, 5, 7):
-        assert abs(rule.integrate(lambda t, d=deg: t ** d)) < 1e-15
+        assert abs(_integrate(rule, lambda t, d=deg: t ** d)) < 1e-15
 
 
 def test_invalid_exponent():
@@ -69,11 +78,11 @@ def test_invalid_exponent():
 
 
 def test_sphere_rule_total_weights():
-    assert sphere_rule(1).total_weight == pytest.approx(2.0)
-    assert sphere_rule(2, 32).total_weight == pytest.approx(2.0 * math.pi, rel=1e-12)
-    assert sphere_rule(3, 24).total_weight == pytest.approx(4.0 * math.pi, rel=1e-12)
-    assert sphere_rule(4, 16).total_weight == pytest.approx(sphere_area(4), rel=1e-10)
-    assert sphere_rule(5, 10).total_weight == pytest.approx(sphere_area(5), rel=1e-10)
+    assert _total_weight(sphere_rule(1)) == pytest.approx(2.0)
+    assert _total_weight(sphere_rule(2, 32)) == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert _total_weight(sphere_rule(3, 24)) == pytest.approx(4.0 * math.pi, rel=1e-12)
+    assert _total_weight(sphere_rule(4, 16)) == pytest.approx(sphere_area(4), rel=1e-10)
+    assert _total_weight(sphere_rule(5, 10)) == pytest.approx(sphere_area(5), rel=1e-10)
 
 
 def test_sphere_points_are_unit():

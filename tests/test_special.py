@@ -110,7 +110,7 @@ def test_bessel_i_integral_representation():
     # (1/(Gamma(nu+1/2) sqrt(pi))) (r/2)^nu Int_{-1}^{1} e^{-ru} (1-u^2)^{nu-1/2} du
     nu, r = 1.0, 2.0
     rule = gauss_jacobi_rule(80, nu - 0.5)
-    integral = rule.integrate(lambda u: np.exp(-r * u))
+    integral = float(np.dot(rule.weights, np.exp(-r * rule.nodes)))
     expected = (r / 2.0) ** nu * integral / (gamma_fn(nu + 0.5) * math.sqrt(math.pi))
     assert bessel_i(nu, r) == pytest.approx(expected, rel=1e-12)
 
