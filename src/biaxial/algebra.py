@@ -8,6 +8,7 @@ taken in increasing order.  All values are immutable and all operations
 are pure, so they are safe to use from multiple threads.
 """
 
+import math
 import numpy as np
 from dataclasses import dataclass
 from functools import lru_cache
@@ -179,11 +180,6 @@ class Multivector:
         """Largest blade coefficient magnitude."""
         return float(np.max(np.abs(self.coeffs)))
 
-    def is_vector(self, tol: float = 0.0) -> bool:
-        grades = blade_grades(self.dim)
-        off = self.coeffs[grades != 1]
-        return bool(np.all(np.abs(off) <= tol))
-
     def __repr__(self):
         terms = []
         for mask in np.flatnonzero(np.abs(self.coeffs) > 0):
@@ -216,11 +212,10 @@ def batch_product(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _vector_bits(x: Multivector):
-    if not x.is_vector():
+    """(i, x_i) for the nonzero coefficients of a pure grade-1 x."""
+    if np.any(x.coeffs[blade_grades(x.dim) != 1]):
         raise ValueError("expected a pure grade-1 multivector")
-    comps = [(i, x.coeffs[1 << i]) for i in range(x.dim)
-             if x.coeffs[1 << i] != 0]
-    return comps
+    return [(i, x.coeffs[1 << i]) for i in range(x.dim) if x.coeffs[1 << i] != 0]
 
 
 def _vector_product_parts(x: Multivector, a: Multivector):
@@ -291,7 +286,9 @@ class BiaxialPoint:
 
     @property
     def r(self) -> float:
-        return float(np.linalg.norm(self.x))
+        # Below 1e-150 np.linalg.norm's squares may underflow; math.hypot scales.
+        r = float(np.linalg.norm(self.x))
+        return r if r >= 1e-150 else math.hypot(*self.x)
 
     @property
     def unit_x(self) -> np.ndarray:

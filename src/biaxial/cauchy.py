@@ -29,7 +29,7 @@ accept arrays, as AxialField documents.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,6 +96,9 @@ class KernelParams:
     y: np.ndarray
     theta: float
     nu: np.ndarray
+    # The hemisphere sweep's _node_geometry at this one node.
+    tau: float = field(init=False)
+    c2: float = field(init=False)
 
     def __post_init__(self):
         if self.p < 2 or self.q < 2:
@@ -113,16 +116,9 @@ class KernelParams:
         _check_interior(self.r, y)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "nu", nu)
-
-    @property
-    def tau(self) -> float:
-        c = math.cos(self.theta)
-        s = math.sin(self.theta)
-        return self.r ** 2 + c * c + float(np.sum((self.y - s * self.nu) ** 2))
-
-    @property
-    def c2(self) -> float:
-        return 2.0 * self.r * max(math.cos(self.theta), 0.0)  # 0 in the slack past pi/2
+        tau, c2 = _node_geometry(self.r, y, np.array([self.theta]), nu[None])
+        object.__setattr__(self, "tau", float(tau[0]))
+        object.__setattr__(self, "c2", float(c2[0]))
 
     @property
     def z(self) -> float:

@@ -5,7 +5,8 @@ biaxial verify|eval|kernel-table|reconstruct
 Reports are written atomically as JSON or RFC-4180-style CSV with LF line
 endings; identical configurations (including --seed) produce byte-identical
 files.  Exit codes: 0 all checks pass, 1 at least one check failed,
-2 usage or configuration error.
+2 usage or configuration error, including a table report of more than
+MAX_REPORT_CELLS cells.
 """
 
 import argparse
@@ -48,16 +49,23 @@ from .planewave import (
     fourier_axial_field,
     fourier_kernel_oracle,
     hpw_exp_closed,
-    radialize_poly,
+    poly_hpw_axial_field,
     radialize_poly_oracle,
 )
 from .quadrature import (_funk_hecke_rules, _funk_hecke_sides, hemisphere_rule, sphere_area,
                          sphere_rule)
 from .rng import SplitMix64
 
+MAX_REPORT_CELLS = 1_000_000  # largest table report, in rows x columns
+
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > MAX_REPORT_CELLS:
+        raise ConfigError(f"{what} needs {cells} cells, above the limit of {MAX_REPORT_CELLS}")
 
 
 def _check_finite(name: str, text, *values) -> None:
@@ -182,7 +190,7 @@ def _axial_fields(cfg: RunConfig) -> dict:
 _VALUE_FNS = {
     "exp-hpw": lambda cfg: exp_hpw_axial_field(cfg.p, cfg.q, cfg.s).value_at,
     "fourier-kernel": lambda cfg: fourier_axial_field(cfg.p, cfg.q, cfg.s).value_at,
-    "poly": lambda cfg: lambda pt: radialize_poly(cfg.k, pt, cfg.s),
+    "poly": lambda cfg: poly_hpw_axial_field(cfg.p, cfg.q, cfg.s, cfg.k).value_at,
     "ck": lambda cfg: _ck_exp(cfg)[1],
     "constant": lambda cfg: constant_field(cfg.p, cfg.q).value_at,
     "linear": lambda cfg: linear_monogenic_field(cfg.p, cfg.q, cfg.s).value_at,
@@ -308,7 +316,7 @@ def _suite_dirac(cfg: RunConfig, rng: SplitMix64):
     # Degree-k polynomials need the smaller verdict step: their third
     # derivatives scale like k^3 and dominate the h^2 truncation.
     k = max(cfg.k, 2)
-    poly = lambda pt: radialize_poly(k, pt, cfg.s)
+    poly = poly_hpw_axial_field(cfg.p, cfg.q, cfg.s, k).value_at
     worst = _worst(rng, cfg, 0.2, 1.0, lambda pt: dirac_residual_relative(poly, pt, 1e-4))
     yield f"dirac_poly_k{k}_h0.0001", worst, 1e-6
 
@@ -385,7 +393,7 @@ def _suite_planewave(cfg: RunConfig, rng: SplitMix64):
     worst = 0.0
     for k in range(min(cfg.k, 4) + 1):
         pt = _random_point(rng, cfg.p, cfg.q, 0.1, 1.0)
-        closed = radialize_poly(k, pt, cfg.s)
+        closed = poly_hpw_axial_field(cfg.p, cfg.q, cfg.s, k).value_at(pt)
         oracle = radialize_poly_oracle(k, pt, cfg.s, rule)
         worst = max(worst, _rel(closed, oracle))
     yield "radialize_closed_vs_oracle", worst, 1e-9
@@ -444,6 +452,7 @@ def _parse_range(spec: str, name: str) -> np.ndarray:
     _check_finite(name, spec, start, stop)
     if count < 1:
         raise ConfigError(f"{name} needs at least one sample")
+    _check_cells(count, name)
     return np.linspace(start, stop, count)
 
 
@@ -467,6 +476,7 @@ def _cmd_eval(cfg: RunConfig, args):
     for mask in range(1 << dim):
         columns.append(f"{blade_name(mask)}_re")
         columns.append(f"{blade_name(mask)}_im")
+    _check_cells(rs.size * ts.size * len(columns), "report")
     rows = []
     for r in rs:
         for t in ts:
@@ -491,6 +501,8 @@ def _cmd_kernel_table(cfg: RunConfig, args):
         raise ConfigError(f"--tol must be >= 0, got {args.tol!r}")
     rs = _parse_range(args.grid_r, "--grid-r")
     thetas = _parse_range(args.grid_theta, "--grid-theta")
+    columns = ["r", "theta", "I_closed", "I_oracle", "abs_diff"]
+    _check_cells(rs.size * thetas.size * len(columns), "report")
     if args.y is None:
         y = np.zeros(cfg.q)
     else:
@@ -504,7 +516,6 @@ def _cmd_kernel_table(cfg: RunConfig, args):
     if rho > BALL_RADIUS_MAX:
         raise ConfigError(f"grid reaches |x+y| = {rho:.3f} > {BALL_RADIUS_MAX}")
     rule = sphere_rule(cfg.p, min(cfg.res, 64))
-    columns = ["r", "theta", "I_closed", "I_oracle", "abs_diff"]
     rows = []
     failed = False
     for r in rs:
@@ -541,6 +552,8 @@ def _cmd_reconstruct(cfg: RunConfig, args):
         raise ConfigError("reconstruct needs q >= 2")
     if args.num_points < 1:
         raise ConfigError(f"need --num-points >= 1, got {args.num_points}")
+    columns = _point_columns(cfg) + list(_RECONSTRUCTION_ERRORS)
+    _check_cells((len(args.points) if args.points else args.num_points) * len(columns), "report")
     field_name = args.field
     fields = _axial_fields(cfg)
     if field_name not in fields:
@@ -549,7 +562,6 @@ def _cmd_reconstruct(cfg: RunConfig, args):
     pts = _reconstruct_points(cfg, args)
     hrule = hemisphere_rule(cfg.p, cfg.q, min(cfg.res, 48))
     oracle = FullBallCauchy(field.boundary_value, _ball_rule(cfg))
-    columns = _point_columns(cfg) + list(_RECONSTRUCTION_ERRORS)
     rows = []
     for pt in pts:
         errs = _reconstruction_errors(field, pt, hrule, oracle)

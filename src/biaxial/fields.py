@@ -24,6 +24,8 @@ from .special import ConvergenceError
 
 FD_STEP_MIN = 1e-6
 FD_STEP_MAX = 1e-2
+# Largest last term of a truncated series, relative to max(1, |sum|).
+SERIES_TAIL_TOL = 1e-14
 
 
 def beta(j: int, p: int) -> int:
@@ -291,12 +293,12 @@ def ck_extend(f0: ExpLinear, p: int, q: int, J: int = 40) -> PlaneWaveSeries:
     return hpw_recurrence(f0, ExpLinear.zero(f0.s), p, q, J)
 
 
-def eval_series(series: PlaneWaveSeries, pt: BiaxialPoint, tail_tol: float = 1e-14):
+def eval_series(series: PlaneWaveSeries, pt: BiaxialPoint):
     """Evaluate the series at pt, realizing x^{2j} = (-1)^j |x|^{2j}.
 
     Returns (value, tail) where tail is the magnitude of the last term
     relative to the partial sum; raises ConvergenceError when the series
-    is truncated and the tail exceeds tail_tol.
+    is truncated and the tail exceeds SERIES_TAIL_TOL.
     """
     if pt.p != series.p or pt.q != series.q:
         raise ValueError("point and series axis dimensions differ")
@@ -324,9 +326,10 @@ def eval_series(series: PlaneWaveSeries, pt: BiaxialPoint, tail_tol: float = 1e-
             term = term + (weight * dj.value(t)) * with_s
         acc += term
     tail = 0.0 if series.terminated else float(np.max(np.abs(term)))
-    if tail > tail_tol * max(1.0, float(np.max(np.abs(acc)))):
+    if tail > SERIES_TAIL_TOL * max(1.0, float(np.max(np.abs(acc)))):
         raise ConvergenceError(
-            f"series tail {tail:.3e} above tolerance {tail_tol:.1e}; increase J or shrink |x|"
+            f"series tail {tail:.3e} above tolerance {SERIES_TAIL_TOL:.1e}; "
+            "increase J or shrink |x|"
         )
     return Multivector(dim, acc), tail
 

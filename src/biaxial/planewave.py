@@ -5,11 +5,9 @@ recurrence determined by the initial pair (C_0, D_0)): the Gamma-ratio
 closed coefficients of the exponential family and its Bessel-J form,
 the polynomial radialization of (<x,t> + i<y,s>)^k (t + i s) over t in
 S^{p-1}, and the Fourier-kernel family with its modified-Bessel form.
-Each profile is defined once: the exponential and Fourier closed forms
-are value_at of their axial pairs.  radialize_poly stays a closed form:
-it computes coef_a x where its pair computes (x/|x|)(coef_a r), so the
-two differ by rounding and in the sign of some zeros.
-Every closed form has a sphere-quadrature oracle next to it.
+Each profile is defined once: every closed form (exponential,
+polynomial, Fourier) is value_at of its axial pair and has a
+sphere-quadrature oracle next to it.
 
 All spherical prefactors use the equatorial measure
 kappa_p = |S^{p-2}| = 2 pi^{(p-1)/2} / Gamma((p-1)/2), the constant the
@@ -122,35 +120,25 @@ def poly_coeff_b(j: int, k: int, p: int) -> float:
     )
 
 
-def _poly_radial_coeffs(k: int, p: int, r, t):
-    """Coefficients (of x/|x| and of i s) in the radialized degree-k wave.
-
-    The x powers carry their multivector signs: x^{2j} = (-1)^j |x|^{2j}.
-    r and t are floats or equal-shape arrays.
-    """
+def _poly_profile(k: int, p: int, parity: int, r, t):
+    """kappa times the x^{2j+parity} terms of the radialized degree-k wave, the
+    coefficient of i s (parity 0) or of x (parity 1), with x^{2j} = (-1)^j |x|^{2j};
+    r and t are floats or equal-shape arrays."""
+    coeff = (poly_coeff_b, poly_coeff_a)[parity]
     it = 1j * t
-    coef_a = 0.0 + 0.0j
-    for j in range((k - 1) // 2 + 1):
-        coef_a += ((-1.0) ** j * r ** (2 * j)) * poly_coeff_a(j, k, p) * it ** (k - 2 * j - 1)
-    coef_b = 0.0 + 0.0j
-    for j in range(k // 2 + 1):
-        coef_b += ((-1.0) ** j * r ** (2 * j)) * poly_coeff_b(j, k, p) * it ** (k - 2 * j)
-    kappa = sphere_area(p - 1)
-    return kappa * coef_a, kappa * coef_b
+    acc = 0.0 + 0.0j
+    for j in range((k - parity) // 2 + 1):
+        acc += ((-1.0) ** j * r ** (2 * j)) * coeff(j, k, p) * it ** (k - 2 * j - parity)
+    return sphere_area(p - 1) * acc
 
 
 def radialize_poly(k: int, pt: BiaxialPoint, s) -> Multivector:
     """Closed form of g = int (<x,t> + i<y,s>)^k (t + i s) dS(t) over S^{p-1}.
 
-    g = A + i B s with the vector part A along x and scalar B.
+    g = A + i B s with the vector part A along x and scalar B; it is
+    poly_hpw_axial_field's value.
     """
-    if not 0 <= k <= MAX_POLY_DEGREE:
-        raise ValueError(f"degree must lie in [0, {MAX_POLY_DEGREE}], got {k}")
-    s = _unit(s)
-    t = float(np.dot(pt.y, s))
-    coef_a, coef_b = _poly_radial_coeffs(k, pt.p, pt.r, t)
-    out = coef_a * pt.embed_x()
-    return out + (1j * coef_b) * embed_vector(pt.dim, pt.p, s)
+    return poly_hpw_axial_field(pt.p, pt.q, s, k).value_at(pt)
 
 
 def radialize_poly_oracle(k: int, pt: BiaxialPoint, s, rule: SphereRule) -> Multivector:
@@ -168,8 +156,8 @@ def radialize_poly_oracle(k: int, pt: BiaxialPoint, s, rule: SphereRule) -> Mult
 def poly_hpw_axial_field(p: int, q: int, s, k: int) -> AxialField:
     """Radialized polynomial wave as an axial pair.
 
-    A(r, y) = i kappa coef_b s and B(r, y) = kappa coef_a r, so that
-    A + (x/|x|) B reassembles the closed form.
+    A(r, y) = i kappa coef_b s and B(r, y) = kappa coef_a r, where
+    _poly_profile gives kappa coef_b (parity 0) and kappa coef_a (parity 1).
     """
     if not 0 <= k <= MAX_POLY_DEGREE:
         raise ValueError(f"degree must lie in [0, {MAX_POLY_DEGREE}], got {k}")
@@ -177,9 +165,9 @@ def poly_hpw_axial_field(p: int, q: int, s, k: int) -> AxialField:
     dim = p + q
     return AxialField(
         p, q,
-        _axial_part(dim, lambda r, y: 1j * _poly_radial_coeffs(k, p, r, y @ s)[1],
+        _axial_part(dim, lambda r, y: 1j * _poly_profile(k, p, 0, r, y @ s),
                     embed_vector(dim, p, s).coeffs),
-        _axial_part(dim, lambda r, y: _poly_radial_coeffs(k, p, r, y @ s)[0] * r),
+        _axial_part(dim, lambda r, y: _poly_profile(k, p, 1, r, y @ s) * r),
     )
 
 

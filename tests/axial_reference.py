@@ -6,7 +6,8 @@ A + (x/|x|) B with a full geometric product, and the boundary rows with
 batch_vector_mv.  The factories here build library AxialField objects
 from those closures; value_at and boundary_rows take the field as their
 first argument.  lift_axial added one Multivector.blade, times the
-embedded u for the e-carrying blades, per nonzero reduced blade.  The
+embedded u for the e-carrying blades, per nonzero reduced blade.
+_poly_radial_coeffs computed both polynomial profiles in one call.  The
 tests hold the library to this module bit for bit.
 """
 
@@ -20,8 +21,10 @@ from biaxial.planewave import (
     MAX_POLY_DEGREE,
     _exp_profile,
     _fourier_profile,
-    _poly_radial_coeffs,
+    poly_coeff_a,
+    poly_coeff_b,
 )
+from biaxial.quadrature import sphere_area
 from probe_reference import batch_vector_mv
 
 
@@ -131,6 +134,23 @@ def exp_hpw_axial_field(p: int, q: int, s) -> AxialField:
         return (d * np.exp(y @ s))[:, None] * s_coeffs
 
     return AxialField(p, q, batched_part(dim, a_rows), batched_part(dim, b_rows))
+
+
+def _poly_radial_coeffs(k: int, p: int, r, t):
+    """Coefficients (of x/|x| and of i s) in the radialized degree-k wave.
+
+    The x powers carry their multivector signs: x^{2j} = (-1)^j |x|^{2j}.
+    r and t are floats or equal-shape arrays.
+    """
+    it = 1j * t
+    coef_a = 0.0 + 0.0j
+    for j in range((k - 1) // 2 + 1):
+        coef_a += ((-1.0) ** j * r ** (2 * j)) * poly_coeff_a(j, k, p) * it ** (k - 2 * j - 1)
+    coef_b = 0.0 + 0.0j
+    for j in range(k // 2 + 1):
+        coef_b += ((-1.0) ** j * r ** (2 * j)) * poly_coeff_b(j, k, p) * it ** (k - 2 * j)
+    kappa = sphere_area(p - 1)
+    return kappa * coef_a, kappa * coef_b
 
 
 def poly_hpw_axial_field(p: int, q: int, s, k: int) -> AxialField:

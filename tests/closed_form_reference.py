@@ -1,10 +1,12 @@
 """Reference copies of the closed forms that became value_at of their pairs.
 
-hpw_exp_closed and fourier_kernel_closed assembled their profiles by
-hand, and ck_bessel_form summed its own Bessel-J series.  They are copied
-unchanged from the code before each became one value_at call on its
-axial pair (ck_bessel_form: the exponential wave).  The tests hold the
-library to these references.
+hpw_exp_closed, fourier_kernel_closed and radialize_poly assembled their
+profiles by hand, and ck_bessel_form summed its own Bessel-J series.
+They are copied unchanged from the code before each became one value_at
+call on its axial pair (ck_bessel_form: the exponential wave);
+radialize_poly computes its coefficients with axial_reference's copy of
+the former _poly_radial_coeffs.  The tests hold the library to these
+references.
 """
 
 import cmath
@@ -12,9 +14,10 @@ import math
 
 import numpy as np
 
+from axial_reference import _poly_radial_coeffs
 from biaxial.algebra import BiaxialPoint, Multivector, embed_vector
 from biaxial.fields import _unit
-from biaxial.planewave import _exp_profile, _fourier_profile
+from biaxial.planewave import MAX_POLY_DEGREE, _exp_profile, _fourier_profile
 from biaxial.special import BESSEL_J_MAX_ARG, gamma_fn
 
 _TERM_EPS = 1e-16
@@ -85,3 +88,17 @@ def ck_bessel_form(pt: BiaxialPoint, s) -> Multivector:
     xs = pt.embed_x() * embed_vector(dim, p, s)
     value = Multivector.scalar(dim, s1) + 0.5 * s2 * xs
     return gamma_fn(half_p) * phase * value
+
+
+def radialize_poly(k: int, pt: BiaxialPoint, s) -> Multivector:
+    """Closed form of g = int (<x,t> + i<y,s>)^k (t + i s) dS(t) over S^{p-1}.
+
+    g = A + i B s with the vector part A along x and scalar B.
+    """
+    if not 0 <= k <= MAX_POLY_DEGREE:
+        raise ValueError(f"degree must lie in [0, {MAX_POLY_DEGREE}], got {k}")
+    s = _unit(s)
+    t = float(np.dot(pt.y, s))
+    coef_a, coef_b = _poly_radial_coeffs(k, pt.p, pt.r, t)
+    out = coef_a * pt.embed_x()
+    return out + (1j * coef_b) * embed_vector(pt.dim, pt.p, s)

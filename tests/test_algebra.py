@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,3 +242,19 @@ def test_point_validation():
     pt = BiaxialPoint(2, 1, np.array([0.0, 0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         _ = pt.unit_x
+
+
+@pytest.mark.parametrize("norm", [6.5e-161, 1e-163, 1e-300])
+def test_point_radius_keeps_tiny_x(norm):
+    # The squares of these coordinates are subnormal or zero.
+    pt = BiaxialPoint(6, 1, np.full(6, norm / 6 ** 0.5), [0.4])
+    assert pt.r == math.hypot(*pt.x)
+    assert abs(pt.r - norm) <= 1e-15 * norm
+    assert np.allclose(pt.unit_x, np.full(6, 6 ** -0.5), rtol=1e-15, atol=0.0)
+
+
+def test_point_radius_is_the_plain_norm_above_the_tiny_range():
+    rng = np.random.default_rng(7)
+    for scale in (1e-140, 1e-8, 1.0, 1e8):
+        x = rng.standard_normal(4) * scale
+        assert BiaxialPoint(4, 2, x, [0.1, 0.2]).r == float(np.linalg.norm(x))

@@ -46,6 +46,33 @@ def test_kernel_at_theta_half_pi_has_no_hypergeometric_part():
     assert kernel_I_closed(kp) == pytest.approx(expected, rel=1e-12)
 
 
+@st.composite
+def kernel_nodes(draw):
+    p = draw(st.integers(2, 6))
+    q = draw(st.integers(2, 8 - p))
+    # r^2 + |y|^2 <= 0.25 + 6 * 0.09 stays inside the 0.9 ball.
+    r = draw(st.floats(0.0, 0.5))
+    y = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=q, max_size=q)))
+    theta = draw(st.one_of(st.floats(0.0, 0.5 * math.pi),
+                           st.sampled_from([0.0, 0.5 * math.pi, 0.5 * math.pi + 5e-13])))
+    nu = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=q, max_size=q)))
+    norm = float(np.linalg.norm(nu))
+    nu = nu / norm if norm > 1e-3 else np.eye(q)[0]
+    return KernelParams(p, q, r, y, theta, nu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kp=kernel_nodes())
+def test_kernel_params_geometry_is_the_formulas_it_replaced(kp):
+    # KernelParams reads the sweep's _node_geometry; these are its former
+    # scalar formulas, which it must match bit for bit.
+    c = math.cos(kp.theta)
+    s = math.sin(kp.theta)
+    assert kp.tau == kp.r ** 2 + c * c + float(np.sum((kp.y - s * kp.nu) ** 2))
+    assert kp.c2 == 2.0 * kp.r * max(math.cos(kp.theta), 0.0)
+    assert type(kp.tau) is float and type(kp.c2) is float
+
+
 def test_kernel_orthogonal_split():
     # |x+y - cos(t)w - sin(t)v|^2 = |x - cos(t)w|^2 + |y - sin(t)v|^2.
     rng = SplitMix64(3)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from biaxial.cli import main
@@ -317,4 +318,50 @@ def test_over_budget_jacobi_rule_exits_2_naming_it(tmp_path, capsys):
     assert run(["verify", "funkhecke", "--p", "2", "--res", "1001", "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert "1001 x 1001" in error and str(quadrature.MAX_SPHERE_NODES) in error
+    assert not out.exists()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the table was started")
+
+
+@pytest.mark.parametrize("args, refused, cells", [
+    # 100 x 100 grid points, each 8 coordinates and 2 x 256 blade parts.
+    (["eval", "constant", "--p", "4", "--q", "4", "--grid-r", "0:1:100",
+      "--grid-t", "0:1:100"], "BiaxialPoint", 10_000 * 520),
+    (["kernel-table", "--grid-r", "0:0.5:1000", "--grid-theta", "0:1.5:300"],
+     "sphere_rule", 300_000 * 5),
+    (["reconstruct", "--num-points", "1000000000"], "_interior_point", 1_000_000_000 * 12),
+])
+def test_oversized_tables_exit_2_before_they_are_built(monkeypatch, tmp_path, capsys, args,
+                                                       refused, cells):
+    import biaxial.cli as cli
+
+    for name in (refused, "hemisphere_rule", "FullBallCauchy"):
+        monkeypatch.setattr(cli, name, _refuse)
+    out = tmp_path / "never.json"
+    assert run(args + ["--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"report needs {cells} cells, above the limit of {cli.MAX_REPORT_CELLS}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, command", [("--grid-r", "eval"), ("--grid-t", "eval"),
+                                             ("--grid-theta", "kernel-table")])
+def test_oversized_sample_counts_exit_2_before_allocation(monkeypatch, tmp_path, capsys,
+                                                          option, command):
+    import biaxial.cli as cli
+
+    real = np.linspace
+
+    def linspace(start, stop, num, **kwargs):
+        assert num <= cli.MAX_REPORT_CELLS, f"asked numpy for {num} samples"
+        return real(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(cli.np, "linspace", linspace)
+    args = [command] + (["constant"] if command == "eval" else [])
+    out = tmp_path / "never.json"
+    assert run(args + [option, "0:0.1:1000000000", "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"{option} needs 1000000000 cells, above the limit of {cli.MAX_REPORT_CELLS}"
     assert not out.exists()

@@ -6,6 +6,8 @@ its values and tails must come out bit for bit; the plane-wave evaluator
 grouped its odd-term products differently and agrees to rounding.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,9 @@ def _outcome(evaluate, series, pt, **kwargs):
 
 
 def _close_to_planewave_reference(series, pt):
-    got, got_tail = eval_series(series, pt, tail_tol=np.inf)
+    # Values are compared whatever the tail, so neither side may raise.
+    with mock.patch.object(fields, "SERIES_TAIL_TOL", np.inf):
+        got, got_tail = eval_series(series, pt)
     want, want_tail = ref.eval_planewave(series, pt, tail_tol=np.inf)
     scale = max(1.0, float(np.max(np.abs(want.coeffs))))
     assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-15 * scale

@@ -17,6 +17,12 @@ matches whole words, and one that matches no command exits 2.
 
 Running it on two checkouts gives a per-command before/after table.  Pin
 the BLAS threads (``OPENBLAS_NUM_THREADS=1``) for comparable numbers.
+The best of 3 rounds removes noise within one process, not between
+processes: on a 2-vCPU VM, two runs on the same checkout differed by up
+to 2x per command (``verify dirac --p 2 --q 2`` 38.6 then 19.7 ms) and
+1,426 against 1,208 ms in total.  So one run per checkout cannot show a
+change smaller than that; alternate several runs per side and compare
+their medians.
 """
 
 import contextlib
