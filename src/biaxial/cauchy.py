@@ -184,17 +184,21 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
     return values[0] if ys.ndim == 1 else np.array(values)
 
 
-def _live_product(weights: np.ndarray, rows) -> np.ndarray:
-    """weights @ rows for real weights (k, N) and complex rows (N, M).
-
-    One real product over the columns of rows' float64 view that are
-    nonzero at some node; the other columns stay +0.0.  Real fields fill
-    one or a few of the 2 M float columns.
-    """
+def _live_columns(rows):
+    """(live, block, width) of complex rows (N, M): the float64 columns that are
+    nonzero at some node as one (N, L) real block, their indices in the float64
+    view, and its width 2 M.  Real fields fill one or a few of the 2 M columns."""
     view = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
     live = np.flatnonzero(view.any(axis=0))
-    out = np.zeros((weights.shape[0], view.shape[1]))
-    out[:, live] = weights @ view[:, live]
+    return live, view[:, live], view.shape[1]
+
+
+def _live_product(weights: np.ndarray, cols) -> np.ndarray:
+    """weights (k, N) @ the rows _live_columns gathered: one real product,
+    scattered into +0.0 columns and viewed as (k, M) complex."""
+    live, block, width = cols
+    out = np.zeros((weights.shape[0], width))
+    out[:, live] = weights @ block
     return out.view(np.complex128)
 
 
@@ -214,7 +218,8 @@ def _node_moments(field: AxialField, r: float, y: np.ndarray, theta: np.ndarray,
     w_phi = w * _kernel_phi(field.p, field.q, tau, c2)
     weights_a = np.vstack([w_i, w_phi * c, (w_i * s) * nu.T])
     weights_b = np.vstack([w_phi, w_i * c, (w_phi * s) * nu.T])
-    return np.stack([_live_product(weights_a, a_b), _live_product(weights_b, b_b)])
+    return np.stack([_live_product(weights_a, _live_columns(a_b)),
+                     _live_product(weights_b, _live_columns(b_b))])
 
 
 def reconstruct_ab_variants(field: AxialField, pt: BiaxialPoint, hrule: HemisphereRule):
@@ -266,14 +271,12 @@ def reconstruct_ab_variants(field: AxialField, pt: BiaxialPoint, hrule: Hemisphe
 
 
 class FullBallCauchy:
-    """Full-sphere Cauchy integral with boundary values cached; the master
-    oracle of the hemisphere reconstruction.
-
-    Evaluates (1/lambda_{m-1}) int (z - eta)/|z - eta|^m eta f(eta) dS(eta)
-    over S^{m-1}.  f_boundary maps the (N, m) block of rule nodes to
-    (N, 2^m) coefficients (AxialField.boundary_value does); it is called
-    once, and reusing one instance across evaluation points avoids
-    re-sampling the boundary.
+    """Full-sphere Cauchy integral, the master oracle of the hemisphere
+    reconstruction: (1/lambda_{m-1}) int (z - eta)/|z - eta|^m eta f(eta) dS(eta)
+    over S^{m-1}.  f_boundary maps the (N, m) node block to (N, 2^m)
+    coefficients (AxialField.boundary_value does) and is called once; the
+    live float64 columns of that block (_live_columns) and the (m + 1, N) real
+    rows eta_1..eta_m, |eta|^2 are kept, so each evaluation is one real product.
     """
 
     def __init__(self, f_boundary, rule: SphereRule):
@@ -286,22 +289,21 @@ class FullBallCauchy:
                 f"f_boundary must map the {rule.points.shape} node block to {expected} "
                 f"coefficients, got shape {values.shape}"
             )
-        self._f = np.asarray(values, dtype=np.complex128)
-        self._eta2 = np.einsum("ij,ij->i", rule.points, rule.points)
+        self._cols = _live_columns(values)
+        self._rows = np.vstack([rule.points.T, np.einsum("ij,ij->i", rule.points, rule.points)])
 
     def evaluate(self, pt: BiaxialPoint) -> Multivector:
         if pt.dim != self.dim:
             raise ValueError("point dimension does not match the rule")
         _check_interior(pt.r, pt.y)
         dim = self.dim
-        eta = self.rule.points
         z = np.concatenate([pt.x, pt.y])
-        # Column by column from strided views: below 8 terms np.add.reduce
-        # sums a row left to right too (sphere_rule caps dim at 6), so this is
+        # Row by row over the coordinates: below 8 terms np.add.reduce sums
+        # a point left to right too (sphere_rule caps dim at 6), so this is
         # the same rounding without one inner-loop call per node.
-        dist2 = np.zeros(eta.shape[0])
-        for j in range(dim):
-            d = z[j] - eta[:, j]
+        dist2 = np.zeros(self._rows.shape[1])
+        for coord, row in zip(z, self._rows[:dim]):
+            d = coord - row
             dist2 += d * d
         dist = np.sqrt(dist2)
         if float(np.min(dist)) < _MIN_BOUNDARY_DISTANCE:
@@ -309,8 +311,7 @@ class FullBallCauchy:
         scale = self.rule.weights * dist ** (-float(dim))
         # Bilinearity, with eta eta = -|eta|^2:
         # sum scale (z - eta) eta f = z sum_i e_i (sum scale eta_i f) + sum scale |eta|^2 f.
-        moments = (scale[:, None] * eta).T @ self._f
-        eta_f = batch_product(np.eye(1 << dim)[1 << np.arange(dim)], moments, dim).sum(axis=0)
-        total = (pt.embed() * Multivector._wrap(dim, eta_f)).coeffs
-        total = total + (scale * self._eta2) @ self._f
+        moments = _live_product(self._rows * scale, self._cols)
+        eta_f = batch_product(np.eye(1 << dim)[1 << np.arange(dim)], moments[:-1], dim).sum(axis=0)
+        total = (pt.embed() * Multivector._wrap(dim, eta_f)).coeffs + moments[-1]
         return Multivector(dim, total / sphere_area(dim))

@@ -6,7 +6,8 @@ Reports are written atomically as JSON or RFC-4180-style CSV with LF line
 endings; identical configurations (including --seed) produce byte-identical
 files.  Exit codes: 0 all checks pass, 1 at least one check failed,
 2 usage or configuration error, including a table report of more than
-MAX_REPORT_CELLS cells.
+MAX_REPORT_CELLS cells and a reconstruct sweep of more than
+MAX_RECONSTRUCT_WORK point x node evaluations (hemisphere and ball nodes).
 """
 
 import argparse
@@ -57,15 +58,16 @@ from .quadrature import (_funk_hecke_rules, _funk_hecke_sides, hemisphere_rule, 
 from .rng import SplitMix64
 
 MAX_REPORT_CELLS = 1_000_000  # largest table report, in rows x columns
+MAX_RECONSTRUCT_WORK = 50_000_000  # largest reconstruct sweep, in points x nodes
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_cells(cells: int, what: str) -> None:
-    if cells > MAX_REPORT_CELLS:
-        raise ConfigError(f"{what} needs {cells} cells, above the limit of {MAX_REPORT_CELLS}")
+def _check_limit(count: int, what: str, limit=MAX_REPORT_CELLS, unit="cells") -> None:
+    if count > limit:
+        raise ConfigError(f"{what} needs {count} {unit}, above the limit of {limit}")
 
 
 def _check_finite(name: str, text, *values) -> None:
@@ -452,7 +454,7 @@ def _parse_range(spec: str, name: str) -> np.ndarray:
     _check_finite(name, spec, start, stop)
     if count < 1:
         raise ConfigError(f"{name} needs at least one sample")
-    _check_cells(count, name)
+    _check_limit(count, name)
     return np.linspace(start, stop, count)
 
 
@@ -476,7 +478,7 @@ def _cmd_eval(cfg: RunConfig, args):
     for mask in range(1 << dim):
         columns.append(f"{blade_name(mask)}_re")
         columns.append(f"{blade_name(mask)}_im")
-    _check_cells(rs.size * ts.size * len(columns), "report")
+    _check_limit(rs.size * ts.size * len(columns), "report")
     rows = []
     for r in rs:
         for t in ts:
@@ -502,7 +504,7 @@ def _cmd_kernel_table(cfg: RunConfig, args):
     rs = _parse_range(args.grid_r, "--grid-r")
     thetas = _parse_range(args.grid_theta, "--grid-theta")
     columns = ["r", "theta", "I_closed", "I_oracle", "abs_diff"]
-    _check_cells(rs.size * thetas.size * len(columns), "report")
+    _check_limit(rs.size * thetas.size * len(columns), "report")
     if args.y is None:
         y = np.zeros(cfg.q)
     else:
@@ -553,15 +555,18 @@ def _cmd_reconstruct(cfg: RunConfig, args):
     if args.num_points < 1:
         raise ConfigError(f"need --num-points >= 1, got {args.num_points}")
     columns = _point_columns(cfg) + list(_RECONSTRUCTION_ERRORS)
-    _check_cells((len(args.points) if args.points else args.num_points) * len(columns), "report")
+    n_points = len(args.points) if args.points else args.num_points
+    _check_limit(n_points * len(columns), "report")
     field_name = args.field
     fields = _axial_fields(cfg)
     if field_name not in fields:
         raise ConfigError(f"unknown field {field_name!r}; choose from {sorted(fields)}")
     field = fields[field_name]
+    hrule, ball = hemisphere_rule(cfg.p, cfg.q, min(cfg.res, 48)), _ball_rule(cfg)
+    nodes = hrule.theta_nodes.size * hrule.nu.points.shape[0] + ball.points.shape[0]
+    _check_limit(n_points * nodes, "reconstruct", MAX_RECONSTRUCT_WORK, "point x node evaluations")
     pts = _reconstruct_points(cfg, args)
-    hrule = hemisphere_rule(cfg.p, cfg.q, min(cfg.res, 48))
-    oracle = FullBallCauchy(field.boundary_value, _ball_rule(cfg))
+    oracle = FullBallCauchy(field.boundary_value, ball)
     rows = []
     for pt in pts:
         errs = _reconstruction_errors(field, pt, hrule, oracle)

@@ -45,8 +45,9 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
     return values[0] if ys.ndim == 1 else np.array(values)
 
 
-def full_ball_evaluate(oracle, pt) -> Multivector:
-    """FullBallCauchy.evaluate(pt) of the oracle instance, as it was."""
+def full_ball_evaluate(oracle, pt, f) -> Multivector:
+    """FullBallCauchy.evaluate(pt) of the oracle instance, as it was, with
+    its cached complex boundary block f, shape (N, 2^dim)."""
     self = oracle
     if pt.dim != self.dim:
         raise ValueError("point dimension does not match the rule")
@@ -60,8 +61,8 @@ def full_ball_evaluate(oracle, pt) -> Multivector:
     scale = self.rule.weights * dist ** (-float(dim))
     # Bilinearity, with eta eta = -|eta|^2:
     # sum scale (z - eta) eta f = z sum_i e_i (sum scale eta_i f) + sum scale |eta|^2 f.
-    moments = (scale[:, None] * eta).T @ self._f
+    moments = (scale[:, None] * eta).T @ f
     eta_f = batch_vector_mv(np.eye(dim), moments, dim).sum(axis=0)
     total = batch_vector_mv(z[None, :], eta_f[None, :], dim)[0]
-    total += (scale * np.einsum("ij,ij->i", eta, eta)) @ self._f
+    total += (scale * np.einsum("ij,ij->i", eta, eta)) @ f
     return Multivector(dim, total / sphere_area(dim))

@@ -160,3 +160,42 @@ def test_full_ball_rejects_scalar_only_boundary_function():
     rule = sphere_rule(4, 8)
     with pytest.raises(ValueError, match="f_boundary"):
         FullBallCauchy(lambda eta: Multivector.scalar(4, 1.0), rule)
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_full_ball_live_columns_keep_the_whole_boundary_block(p, q, name):
+    field = make_field(name, p, q, direction(q))
+    rule = sphere_rule(p + q, 6)
+    values = np.asarray(field.boundary_value(rule.points), dtype=np.complex128)
+    live, block, width = FullBallCauchy(field.boundary_value, rule)._cols
+    assert width == 2 * values.shape[1]
+    scattered = np.zeros((rule.points.shape[0], width))
+    scattered[:, live] = block
+    assert np.array_equal(scattered.view(np.complex128), values)
+    if name == "fourier":
+        assert np.any(live % 2 == 1)  # odd float columns are imaginary parts
+
+
+def test_full_ball_of_zero_boundary_data_is_zero():
+    rule = sphere_rule(4, 8)
+    oracle = FullBallCauchy(lambda eta: np.zeros((eta.shape[0], 16)), rule)
+    assert oracle._cols[0].size == 0
+    for pt in _points(2, 2):
+        out = oracle.evaluate(pt).coeffs
+        assert out.shape == (16,) and not np.any(out)
+
+
+def test_full_ball_takes_real_boundary_data():
+    p, q = 3, 2
+    field = linear_monogenic_field(p, q, direction(q))
+    rule = sphere_rule(p + q, 6)
+    real = FullBallCauchy(lambda eta: field.boundary_value(eta).real, rule)
+    as_complex = FullBallCauchy(lambda eta: field.boundary_value(eta).real.astype(complex), rule)
+    pts = _points(p, q)
+    references = full_ball_per_node(
+        lambda eta: Multivector(p + q, field.boundary_value(eta).coeffs.real), pts, rule)
+    for pt, reference in zip(pts, references):
+        got = real.evaluate(pt).coeffs
+        assert np.array_equal(got, as_complex.evaluate(pt).coeffs)
+        assert rel_gap(got, reference) <= REFERENCE_TOL

@@ -346,6 +346,33 @@ def test_oversized_tables_exit_2_before_they_are_built(monkeypatch, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p, q, res, per_point", [
+    # Hemisphere rule (at most res 48) plus full-ball rule, per point.
+    (2, 2, 64, 48 * 48 + 28 ** 3),
+    (2, 3, 64, 48 * 48 ** 2 + 16 ** 4),
+    (3, 3, 12, 12 * 12 ** 2 + 10 ** 5),
+])
+def test_reconstruct_over_the_work_budget_exits_2_before_the_sweep(monkeypatch, tmp_path, capsys,
+                                                                   p, q, res, per_point):
+    import biaxial.cli as cli
+
+    monkeypatch.setattr(cli, "_reconstruction_errors",
+                        lambda *args: dict.fromkeys(cli._RECONSTRUCTION_ERRORS, 0.0))
+    largest = cli.MAX_RECONSTRUCT_WORK // per_point
+    base = ["reconstruct", "--p", str(p), "--q", str(q), "--res", str(res), "--field", "constant"]
+    out = tmp_path / "largest.json"
+    assert run(base + ["--num-points", str(largest), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["rows"]) == largest
+    for name in ("_interior_point", "FullBallCauchy", "_reconstruction_errors"):
+        monkeypatch.setattr(cli, name, _refuse)
+    out = tmp_path / "never.json"
+    assert run(base + ["--num-points", str(largest + 1), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == (f"reconstruct needs {(largest + 1) * per_point} point x node evaluations, "
+                     f"above the limit of {cli.MAX_RECONSTRUCT_WORK}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, command", [("--grid-r", "eval"), ("--grid-t", "eval"),
                                              ("--grid-theta", "kernel-table")])
 def test_oversized_sample_counts_exit_2_before_allocation(monkeypatch, tmp_path, capsys,
