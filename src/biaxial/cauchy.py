@@ -29,6 +29,7 @@ accept arrays, as AxialField documents.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,11 +56,10 @@ def _check_interior(r: float, y: np.ndarray) -> None:
         )
 
 
-def _node_geometry(r: float, y: np.ndarray, theta: np.ndarray, nu: np.ndarray):
+def _node_geometry(r: float, y: np.ndarray, c: np.ndarray, s: np.ndarray, nu: np.ndarray):
     """tau = r^2 + cos^2(theta) + |y - sin(theta) nu|^2 and c2 = 2 r cos(theta)
-    at hemisphere nodes theta (N,), nu (N, q), for one point (r, y)."""
-    c = np.cos(theta)
-    s = np.sin(theta)
+    at hemisphere nodes c = cos(theta), s = sin(theta) (N,), nu (N, q), for
+    one point (r, y)."""
     tau = r ** 2 + c * c + np.sum((y - s[:, None] * nu) ** 2, axis=1)
     return tau, 2.0 * r * np.maximum(c, 0.0)  # 0 in the slack past pi/2
 
@@ -116,7 +116,8 @@ class KernelParams:
         _check_interior(self.r, y)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "nu", nu)
-        tau, c2 = _node_geometry(self.r, y, np.array([self.theta]), nu[None])
+        theta = np.array([self.theta])
+        tau, c2 = _node_geometry(self.r, y, np.cos(theta), np.sin(theta), nu[None])
         object.__setattr__(self, "tau", float(tau[0]))
         object.__setattr__(self, "c2", float(c2[0]))
 
@@ -202,24 +203,68 @@ def _live_product(weights: np.ndarray, cols) -> np.ndarray:
     return out.view(np.complex128)
 
 
-def _node_moments(field: AxialField, r: float, y: np.ndarray, theta: np.ndarray,
-                  nu: np.ndarray, w: np.ndarray) -> np.ndarray:
+# The point-independent half of the hemisphere sweep: per rule, its node
+# blocks and, per field, the live columns of A and B on each block.  Weak
+# on both keys, so an entry lives only as long as its rule and its field;
+# rules keep read-only arrays, so an entry cannot go stale.
+_SWEEPS = weakref.WeakKeyDictionary()
+
+
+def _node_blocks(hrule: HemisphereRule) -> tuple:
+    """(cos theta, sin theta, nu, w) of each block of at most _NODE_BLOCK
+    nodes, nu in the rule's inner order."""
+    theta = hrule.theta_nodes
+    if np.any(theta < 0.0) or np.any(theta > 0.5 * math.pi + 1e-12):
+        raise ValueError("theta must lie in [0, pi/2]")
+    if np.any(np.abs(np.linalg.norm(hrule.nu.points, axis=1) - 1.0) > 1e-9):
+        raise ValueError("nu must be a unit vector")
+    n_nu = hrule.nu.points.shape[0]
+    total = theta.size * n_nu
+    blocks = []
+    for start in range(0, total, _NODE_BLOCK):
+        i_theta, i_nu = np.divmod(np.arange(start, min(start + _NODE_BLOCK, total)), n_nu)
+        block_theta = theta[i_theta]
+        blocks.append((np.cos(block_theta), np.sin(block_theta), hrule.nu.points[i_nu],
+                       hrule.theta_weights[i_theta] * hrule.nu.weights[i_nu]))
+    return tuple(blocks)
+
+
+def _boundary_sweep(field: AxialField, hrule: HemisphereRule):
+    """The rule's node blocks and, per block, the _live_columns of the
+    boundary values A and B there.  Built on the first call for a (field,
+    rule) pair and stored only once the whole build succeeded."""
+    blocks, per_field = _SWEEPS.get(hrule, (None, None))
+    cols = None if per_field is None else per_field.get(field)
+    if cols is not None:
+        return blocks, cols
+    if blocks is None:
+        blocks = _node_blocks(hrule)
+    cols = []
+    for c, s, nu, _ in blocks:
+        y_b = s[:, None] * nu
+        cols.append((_live_columns(field.A(c, y_b)), _live_columns(field.B(c, y_b))))
+    cols = tuple(cols)
+    if per_field is None:
+        per_field = weakref.WeakKeyDictionary()
+        _SWEEPS[hrule] = (blocks, per_field)
+    per_field[field] = cols
+    return blocks, cols
+
+
+def _node_moments(p: int, q: int, r: float, y: np.ndarray, block, cols) -> np.ndarray:
     """Weighted sums of the boundary values over one block of nodes.
 
     Returns (2, q + 2, 2^dim) coefficients: the A values summed against
     w I, w Phi cos(theta) and w I sin(theta) nu_j, and the B values summed
     against w Phi, w I cos(theta) and w Phi sin(theta) nu_j.
     """
-    c, s = np.cos(theta), np.sin(theta)
-    a_b = field.A(c, s[:, None] * nu)
-    b_b = field.B(c, s[:, None] * nu)
-    tau, c2 = _node_geometry(r, y, theta, nu)
-    w_i = w * _kernel_I(field.p, field.q, tau, c2)
-    w_phi = w * _kernel_phi(field.p, field.q, tau, c2)
+    c, s, nu, w = block
+    tau, c2 = _node_geometry(r, y, c, s, nu)
+    w_i = w * _kernel_I(p, q, tau, c2)
+    w_phi = w * _kernel_phi(p, q, tau, c2)
     weights_a = np.vstack([w_i, w_phi * c, (w_i * s) * nu.T])
     weights_b = np.vstack([w_phi, w_i * c, (w_phi * s) * nu.T])
-    return np.stack([_live_product(weights_a, _live_columns(a_b)),
-                     _live_product(weights_b, _live_columns(b_b))])
+    return np.stack([_live_product(weights_a, cols[0]), _live_product(weights_b, cols[1])])
 
 
 def reconstruct_ab_variants(field: AxialField, pt: BiaxialPoint, hrule: HemisphereRule):
@@ -227,30 +272,23 @@ def reconstruct_ab_variants(field: AxialField, pt: BiaxialPoint, hrule: Hemisphe
 
     Returns {variant: (A_value, B_value)} of y-subalgebra multivectors
     such that the field at pt is A_value + (x/|x|) B_value.  The nodes go
-    through the kernels and field.A/field.B as arrays, in blocks of at
-    most _NODE_BLOCK nodes.  The node-dependent vectors nu and the fixed
-    y enter linearly, so they multiply weighted sums instead of rows:
+    through the kernels as arrays, in blocks of at most _NODE_BLOCK nodes.
+    The boundary values field.A/field.B on those blocks do not depend on
+    pt: they are computed once per (field, rule) and kept while both live
+    (_boundary_sweep).  The node-dependent vectors nu and the fixed y enter
+    linearly, so they multiply weighted sums instead of rows:
     sum_n w_n nu_n f_n = sum_j e_{p+j} (sum_n w_n nu_{n,j} f_n).
     """
     p, q = field.p, field.q
     if (pt.p, pt.q) != (p, q) or (hrule.p, hrule.q) != (p, q):
         raise ValueError("field, point, and rule must share (p, q)")
     _check_interior(pt.r, pt.y)
-    theta = hrule.theta_nodes
-    if np.any(theta < 0.0) or np.any(theta > 0.5 * math.pi + 1e-12):
-        raise ValueError("theta must lie in [0, pi/2]")
-    if np.any(np.abs(np.linalg.norm(hrule.nu.points, axis=1) - 1.0) > 1e-9):
-        raise ValueError("nu must be a unit vector")
+    blocks, cols = _boundary_sweep(field, hrule)
     dim = p + q
     r = pt.r
-    n_nu = hrule.nu.points.shape[0]
-    total = hrule.theta_nodes.size * n_nu
     mom = np.zeros((2, q + 2, 1 << dim), dtype=np.complex128)
-    for start in range(0, total, _NODE_BLOCK):
-        i_theta, i_nu = np.divmod(np.arange(start, min(start + _NODE_BLOCK, total)), n_nu)
-        w = hrule.theta_weights[i_theta] * hrule.nu.weights[i_nu]
-        mom += _node_moments(field, r, pt.y, hrule.theta_nodes[i_theta],
-                             hrule.nu.points[i_nu], w)
+    for block, block_cols in zip(blocks, cols):
+        mom += _node_moments(p, q, r, pt.y, block, block_cols)
     mom /= sphere_area(dim)
     y_basis = np.eye(1 << dim)[1 << np.arange(p, dim)]  # coefficient rows of e_{p+1}..e_{p+q}
     nu_a = batch_product(y_basis, mom[0, 2:], dim).sum(axis=0)

@@ -6,8 +6,10 @@ Reports are written atomically as JSON or RFC-4180-style CSV with LF line
 endings; identical configurations (including --seed) produce byte-identical
 files.  Exit codes: 0 all checks pass, 1 at least one check failed,
 2 usage or configuration error, including a table report of more than
-MAX_REPORT_CELLS cells and a reconstruct sweep of more than
-MAX_RECONSTRUCT_WORK point x node evaluations (hemisphere and ball nodes).
+MAX_REPORT_CELLS cells, a reconstruct sweep of more than
+MAX_RECONSTRUCT_WORK point x node evaluations (hemisphere and ball nodes)
+and a kernel table of more than MAX_RECONSTRUCT_WORK row x node
+evaluations (S^{p-1} oracle nodes).
 """
 
 import argparse
@@ -58,7 +60,8 @@ from .quadrature import (_funk_hecke_rules, _funk_hecke_sides, hemisphere_rule, 
 from .rng import SplitMix64
 
 MAX_REPORT_CELLS = 1_000_000  # largest table report, in rows x columns
-MAX_RECONSTRUCT_WORK = 50_000_000  # largest reconstruct sweep, in points x nodes
+# Largest quadrature sweep: reconstruct's points x nodes, kernel-table's rows x nodes.
+MAX_RECONSTRUCT_WORK = 50_000_000
 
 
 class ConfigError(ValueError):
@@ -518,6 +521,8 @@ def _cmd_kernel_table(cfg: RunConfig, args):
     if rho > BALL_RADIUS_MAX:
         raise ConfigError(f"grid reaches |x+y| = {rho:.3f} > {BALL_RADIUS_MAX}")
     rule = sphere_rule(cfg.p, min(cfg.res, 64))
+    _check_limit(rs.size * thetas.size * rule.points.shape[0], "kernel-table",
+                 MAX_RECONSTRUCT_WORK, "row x node evaluations")
     rows = []
     failed = False
     for r in rs:

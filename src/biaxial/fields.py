@@ -113,7 +113,9 @@ class AxialField:
     families build both from _axial_part.  A field built from scalar-only
     callables still works with value_at, vekua_residual and
     dirac_apply_fd, but not with boundary_value, reconstruct_ab_variants
-    or FullBallCauchy.
+    or FullBallCauchy.  reconstruct_ab_variants keeps the values of A and B
+    on a rule's nodes while the field and the rule live, so A and B must
+    depend on (r, y) alone.
     """
 
     p: int

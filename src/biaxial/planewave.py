@@ -216,7 +216,10 @@ def fourier_axial_field(p: int, q: int, s) -> AxialField:
 
     def profile(k):
         radial = lambda rad: _fourier_profile(p, rad, k)
-        return lambda r, y: _on_radii(radial, r) * np.exp(1j * (y @ s))
+        # np.multiply, so a 0-d r goes through the array loop too: scalar
+        # math multiplies a real profile by the phase as a complex number,
+        # which can flip the sign of a zero imaginary part.
+        return lambda r, y: np.multiply(_on_radii(radial, r), np.exp(1j * (y @ s)))
 
     s_coeffs = embed_vector(dim, p, s).coeffs
     return AxialField(p, q, _axial_part(dim, profile(0), s_coeffs), _axial_part(dim, profile(1)))

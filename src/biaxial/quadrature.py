@@ -28,6 +28,14 @@ def sphere_area(ndim: int) -> float:
     return 2.0 * math.pi ** (0.5 * ndim) / math.gamma(0.5 * ndim)
 
 
+def _read_only(*arrays) -> None:
+    """Mark a rule's arrays read-only in place, with no copy, so values kept
+    from a rule (gauss_jacobi_rule's cache, the hemisphere sweep of
+    biaxial.cauchy) stay valid while it lives."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class IntervalRule:
     """Quadrature nodes/weights on (-1, 1) for the weight (1-t^2)^alpha."""
@@ -69,18 +77,21 @@ def gauss_jacobi_rule(n: int, alpha: float) -> IntervalRule:
     weights = mu0 * vecs[0, :] ** 2
     nodes = 0.5 * (vals - vals[::-1])
     weights = 0.5 * (weights + weights[::-1])
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
+    _read_only(nodes, weights)
     return IntervalRule(nodes, weights, alpha)
 
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Unit vectors and positive weights integrating over S^{dim-1}."""
+    """Unit vectors and positive weights integrating over S^{dim-1}; the
+    arrays are read-only."""
 
     dim: int
     points: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self.points, self.weights)
 
 
 def sphere_rule(d: int, resolution: int = 64) -> SphereRule:
@@ -118,14 +129,15 @@ def sphere_rule(d: int, resolution: int = 64) -> SphereRule:
     return SphereRule(d, pts.reshape(-1, d), w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HemisphereRule:
     """theta x nu rule for the polar split of S^{p+q-1}: eta = cos(theta) omega + sin(theta) nu.
 
     theta_weights carry the cos^{p-1} sin^{q-1} surface factor, so summing
     g w_theta w_omega w_nu with any S^{p-1} rule integrates g dS over the
     sphere.  The omega integral is closed (the moments I and Phi of
-    biaxial.cauchy), so the rule holds no omega factor.
+    biaxial.cauchy), so the rule holds no omega factor.  The arrays are
+    read-only, and a rule compares and hashes by identity.
     """
 
     p: int
@@ -133,6 +145,9 @@ class HemisphereRule:
     theta_nodes: np.ndarray
     theta_weights: np.ndarray
     nu: SphereRule
+
+    def __post_init__(self):
+        _read_only(self.theta_nodes, self.theta_weights)
 
 
 def hemisphere_rule(p: int, q: int, resolution: int = 64) -> HemisphereRule:

@@ -91,12 +91,21 @@ SIGNED_ZEROS = (
     np.array([[0.0, 0.0, 1.0], [1e-13, 0.0, -1.0], [0.0, -1.0, 0.0]]),
 )
 
+# A real Fourier B profile times a phase with a tiny negative imaginary
+# part: the product's imaginary part underflows to -0.0 in the array loop,
+# which a one-point B must reproduce.
+TINY_PHASE = (
+    2, 2, np.array([-6.99380443e-243, 1.0]), np.array([[2.23117055e-108, 0.0]]),
+    np.array([[1.0, 0.0]]), np.array([[2.23117055e-108, 0.0, 1.0, 0.0]]),
+)
+
 
 @settings(max_examples=120, deadline=None)
 @given(case=cases(), name=st.sampled_from(FAMILIES), k=st.integers(0, 12))
 @example(case=SIGNED_ZEROS, name="linear", k=0)
 @example(case=SIGNED_ZEROS, name="fourier", k=0)
 @example(case=SIGNED_ZEROS, name="poly", k=3)
+@example(case=TINY_PHASE, name="fourier", k=0)
 def test_families_match_the_assembly_they_replaced(case, name, k):
     p, q, s, xs, ys, eta = case
     field, old = _pair(name, p, q, s, k)

@@ -135,11 +135,14 @@ def test_reconstruction_matches_per_node_reference(p, q, res, name):
 
 def test_reconstruction_blocks_sum_to_one_pass(monkeypatch):
     field = exp_hpw_axial_field(2, 2, direction(2))
-    hrule = hemisphere_rule(2, 2, 16)
     pt = _points(2, 2)[1]
-    whole = reconstruct_ab_variants(field, pt, hrule)
+    whole = reconstruct_ab_variants(field, pt, hemisphere_rule(2, 2, 16))
+    # A fresh rule: the stored sweep of the first one keeps its blocks.
+    hrule = hemisphere_rule(2, 2, 16)
     monkeypatch.setattr(cauchy, "_NODE_BLOCK", 37)
     blocked = reconstruct_ab_variants(field, pt, hrule)
+    blocks, _ = cauchy._boundary_sweep(field, hrule)
+    assert [block[0].size for block in blocks] == [37] * 6 + [34]
     for variant, (a_val, b_val) in whole.items():
         assert rel_gap(blocked[variant][0].coeffs, a_val) <= REFERENCE_TOL
         assert rel_gap(blocked[variant][1].coeffs, b_val) <= REFERENCE_TOL

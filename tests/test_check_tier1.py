@@ -43,3 +43,23 @@ def test_other_outcomes(tmp_path, extra, code):
 @pytest.mark.parametrize("c3, c7", [("pass", "failure"), ("failure", "pass"), ("pass", "pass")])
 def test_a_criterion_that_starts_passing_fails_the_check(tmp_path, c3, c7):
     assert check_tier1.main([junit(tmp_path, [(ACC, C3, c3), (ACC, C7, c7)])]) == 1
+
+
+def test_an_unexpected_failure_prints_the_first_line_of_its_message(tmp_path, capsys):
+    path = tmp_path / "tier1.xml"
+    failure = ('<failure message="AssertionError: -0.0j != +0.0j&#10;Falsifying example: '
+               'case=(2, 2)"/>')
+    path.write_text(
+        '<testsuites><testsuite name="pytest">'
+        f'<testcase classname="{ACC}" name="{C3}"><failure message="x"/></testcase>'
+        f'<testcase classname="{ACC}" name="{C7}"><failure message="x"/></testcase>'
+        f'<testcase classname="tests.test_fields" name="test_x">{failure}</testcase>'
+        '<testcase classname="tests.test_rng" name="test_y"><error/></testcase>'
+        '</testsuite></testsuites>')
+    assert check_tier1.main([str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "unexpected failure: tests.test_fields.test_x",
+        "    AssertionError: -0.0j != +0.0j",
+        "unexpected failure: tests.test_rng.test_y",
+        "4 test cases, 4 failed",
+    ]

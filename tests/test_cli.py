@@ -373,6 +373,26 @@ def test_reconstruct_over_the_work_budget_exits_2_before_the_sweep(monkeypatch, 
     assert not out.exists()
 
 
+def test_kernel_table_over_the_work_budget_exits_2_before_the_oracle(monkeypatch, tmp_path,
+                                                                    capsys):
+    import biaxial.cli as cli
+
+    nodes = 64 ** 3  # sphere_rule(4, 64)
+    largest = cli.MAX_RECONSTRUCT_WORK // nodes
+    base = ["kernel-table", "--p", "4", "--q", "4", "--grid-theta", "0:1.5:1", "--tol", "1e300"]
+    monkeypatch.setattr(cli, "kernel_I_oracle", lambda x, ys, *args: np.zeros(len(ys)))
+    out = tmp_path / "largest.json"
+    assert run(base + ["--grid-r", f"0:0.5:{largest}", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["rows"]) == largest
+    monkeypatch.setattr(cli, "kernel_I_oracle", _refuse)
+    out = tmp_path / "never.json"
+    assert run(base + ["--grid-r", f"0:0.5:{largest + 1}", "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == (f"kernel-table needs {(largest + 1) * nodes} row x node evaluations, "
+                     f"above the limit of {cli.MAX_RECONSTRUCT_WORK}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, command", [("--grid-r", "eval"), ("--grid-t", "eval"),
                                              ("--grid-theta", "kernel-table")])
 def test_oversized_sample_counts_exit_2_before_allocation(monkeypatch, tmp_path, capsys,

@@ -10,6 +10,8 @@ explains both.  This script reads the JUnit XML of a run,
 
 and exits 0 only if the failed set is exactly those two tests: any other
 failure or error fails the check, and so does either criterion passing.
+Each unexpected failure is printed with the first line of its JUnit
+message, so a flaky property test shows what it failed on.
 """
 
 import sys
@@ -22,13 +24,18 @@ EXPECTED_FAILURES = {
 
 
 def failed_tests(path):
-    """(names of failed or errored test cases, number of test cases)."""
+    """({name: first line of its message} of the failed or errored test
+    cases, number of test cases)."""
     cases = ET.parse(path).getroot().iter("testcase")
-    failed, total = set(), 0
+    failed, total = {}, 0
     for case in cases:
         total += 1
-        if case.find("failure") is not None or case.find("error") is not None:
-            failed.add(f"{case.get('classname')}.{case.get('name')}")
+        outcome = case.find("failure")
+        if outcome is None:
+            outcome = case.find("error")
+        if outcome is not None:
+            message = outcome.get("message") or ""
+            failed[f"{case.get('classname')}.{case.get('name')}"] = message.split("\n", 1)[0]
     return failed, total
 
 
@@ -37,10 +44,12 @@ def main(argv):
         print("usage: check_tier1.py JUNIT_XML", file=sys.stderr)
         return 2
     failed, total = failed_tests(argv[0])
-    unexpected = sorted(failed - EXPECTED_FAILURES)
-    passing = sorted(EXPECTED_FAILURES - failed)
+    unexpected = sorted(failed.keys() - EXPECTED_FAILURES)
+    passing = sorted(EXPECTED_FAILURES - failed.keys())
     for name in unexpected:
         print(f"unexpected failure: {name}")
+        if failed[name]:
+            print(f"    {failed[name]}")
     for name in passing:
         print(f"expected failure did not fail: {name}")
     print(f"{total} test cases, {len(failed)} failed")
