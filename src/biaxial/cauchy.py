@@ -37,7 +37,7 @@ import numpy as np
 from .algebra import BiaxialPoint, Multivector, batch_product
 from .fields import AxialField
 from .quadrature import HemisphereRule, SphereRule, sphere_area
-from .special import hyp2f1_symmetric
+from .special import _check_range, hyp2f1_symmetric
 
 BALL_RADIUS_MAX = 0.9
 _MIN_BOUNDARY_DISTANCE = 0.05
@@ -48,12 +48,14 @@ _NODE_BLOCK = 4096
 
 
 def _check_interior(r: float, y: np.ndarray) -> None:
-    rho = math.sqrt(r * r + float(np.dot(y, y)))
-    if rho > BALL_RADIUS_MAX:
-        raise ValueError(
-            f"evaluation point has |x+y| = {rho:.3f} > {BALL_RADIUS_MAX}; "
-            "too close to the boundary sphere"
-        )
+    _check_range("|x+y|", math.sqrt(r * r + float(np.dot(y, y))), 0, BALL_RADIUS_MAX)
+
+
+def _check_nodes(theta, nu: np.ndarray) -> None:
+    """theta in [0, pi/2] (slack for rounding) and |nu| = 1 at a node or a rule's nodes."""
+    _check_range("theta", theta, 0, 0.5 * math.pi + 1e-12)
+    _check_range("|nu| of the unit vector nu", np.linalg.norm(nu, axis=-1),
+                 1.0 - 1e-9, 1.0 + 1e-9)
 
 
 def _node_geometry(r: float, y: np.ndarray, c: np.ndarray, s: np.ndarray, nu: np.ndarray):
@@ -103,16 +105,13 @@ class KernelParams:
     def __post_init__(self):
         if self.p < 2 or self.q < 2:
             raise ValueError("kernel needs p, q >= 2")
-        if self.r < 0:
-            raise ValueError("r is a radius, need r >= 0")
-        if not 0.0 <= self.theta <= 0.5 * math.pi + 1e-12:
-            raise ValueError("theta must lie in [0, pi/2]")
+        if not self.r >= 0:
+            raise ValueError(f"r is a radius, need r >= 0, got {self.r}")
         y = np.asarray(self.y, dtype=np.float64)
         nu = np.asarray(self.nu, dtype=np.float64)
         if y.shape != (self.q,) or nu.shape != (self.q,):
             raise ValueError("y and nu must be length-q vectors")
-        if abs(float(np.linalg.norm(nu)) - 1.0) > 1e-9:
-            raise ValueError("nu must be a unit vector")
+        _check_nodes(self.theta, nu)
         _check_interior(self.r, y)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "nu", nu)
@@ -178,7 +177,7 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
         np.multiply(rule.points[start:stop], c, out=dx)
         np.subtract(x, dx, out=dx)
         dist2 = np.einsum("ij,ij->i", dx, dx) + dy2[:, None]
-        if math.sqrt(float(np.min(dist2, initial=np.inf))) < _MIN_BOUNDARY_DISTANCE:
+        if not math.sqrt(float(np.min(dist2, initial=np.inf))) >= _MIN_BOUNDARY_DISTANCE:
             raise ValueError("kernel oracle integrand is near-singular at this node")
         integrand[:, start:stop] = dist2 ** (-0.5 * (p + q))
     values = [float(np.dot(rule.weights, row)) for row in integrand]
@@ -214,10 +213,7 @@ def _node_blocks(hrule: HemisphereRule) -> tuple:
     """(cos theta, sin theta, nu, w) of each block of at most _NODE_BLOCK
     nodes, nu in the rule's inner order."""
     theta = hrule.theta_nodes
-    if np.any(theta < 0.0) or np.any(theta > 0.5 * math.pi + 1e-12):
-        raise ValueError("theta must lie in [0, pi/2]")
-    if np.any(np.abs(np.linalg.norm(hrule.nu.points, axis=1) - 1.0) > 1e-9):
-        raise ValueError("nu must be a unit vector")
+    _check_nodes(theta, hrule.nu.points)
     n_nu = hrule.nu.points.shape[0]
     total = theta.size * n_nu
     blocks = []
@@ -344,7 +340,7 @@ class FullBallCauchy:
             d = coord - row
             dist2 += d * d
         dist = np.sqrt(dist2)
-        if float(np.min(dist)) < _MIN_BOUNDARY_DISTANCE:
+        if not float(np.min(dist)) >= _MIN_BOUNDARY_DISTANCE:
             raise ValueError("evaluation point is too close to a boundary node")
         scale = self.rule.weights * dist ** (-float(dim))
         # Bilinearity, with eta eta = -|eta|^2:

@@ -5,11 +5,11 @@ biaxial verify|eval|kernel-table|reconstruct
 Reports are written atomically as JSON or RFC-4180-style CSV with LF line
 endings; identical configurations (including --seed) produce byte-identical
 files.  Exit codes: 0 all checks pass, 1 at least one check failed,
-2 usage or configuration error, including a table report of more than
-MAX_REPORT_CELLS cells, a reconstruct sweep of more than
-MAX_RECONSTRUCT_WORK point x node evaluations (hemisphere and ball nodes)
-and a kernel table of more than MAX_RECONSTRUCT_WORK row x node
-evaluations (S^{p-1} oracle nodes).
+2 usage or configuration error, including an overflow, an eval value that
+is not finite (the error names its grid point), a table report of more than
+MAX_REPORT_CELLS cells, a reconstruct sweep of more than MAX_RECONSTRUCT_WORK
+point x node evaluations (hemisphere and ball nodes) and a kernel table of
+more than MAX_RECONSTRUCT_WORK row x node evaluations (S^{p-1} oracle nodes).
 """
 
 import argparse
@@ -35,6 +35,10 @@ from .cauchy import (
     reconstruct_ab_variants,
 )
 from .fields import (
+    FD_STEP_MAX,
+    FD_STEP_MIN,
+    MAX_TRUNCATION,
+    AxialField,
     ExpLinear,
     ck_extend,
     constant_field,
@@ -44,8 +48,9 @@ from .fields import (
     linear_monogenic_field,
     vekua_residual,
 )
-from .special import ConvergenceError
+from .special import ConvergenceError, _check_range
 from .planewave import (
+    MAX_POLY_DEGREE,
     exp_coeffs_closed,
     exp_hpw_axial_field,
     exp_hpw_series,
@@ -102,16 +107,11 @@ class RunConfig:
 
 def _build_config(args) -> RunConfig:
     p, q = args.p, args.q
-    if p < 2:
-        raise ConfigError(f"need p >= 2, got p={p}")
-    if q < 1:
-        raise ConfigError(f"need q >= 1, got q={q}")
-    if p + q > 8:
-        raise ConfigError(f"need p + q <= 8, got {p + q}")
+    _check_range("--p", p, 2, 7)
+    _check_range("--q (p + q <= 8)", q, 1, 8 - p)
     if args.res < 8:
         raise ConfigError(f"need resolution >= 8, got {args.res}")
-    if not 1e-6 <= args.h <= 1e-2:
-        raise ConfigError(f"step h must lie in [1e-6, 1e-2], got {args.h}")
+    _check_range("--h", args.h, FD_STEP_MIN, FD_STEP_MAX)
     if args.s is None:
         s = np.zeros(q)
         s[0] = 1.0
@@ -124,10 +124,8 @@ def _build_config(args) -> RunConfig:
         if norm == 0.0:
             raise ConfigError("direction s must be nonzero")
         s = s / norm
-    if not 0 <= args.k <= 12:
-        raise ConfigError(f"degree k must lie in [0, 12], got {args.k}")
-    if not 1 <= args.J <= 60:
-        raise ConfigError(f"truncation J must lie in [1, 60], got {args.J}")
+    _check_range("--k", args.k, 0, MAX_POLY_DEGREE)
+    _check_range("--J", args.J, 1, MAX_TRUNCATION)
     return RunConfig(p, q, s, args.k, args.J, args.res, args.h, args.seed,
                      args.format, args.out)
 
@@ -230,7 +228,7 @@ def _reconstruction_errors(field, pt: BiaxialPoint, hrule, oracle) -> dict:
             for key in ("full", "printed", "corrected")
             for part, value in zip("AB", variants[key])}
     a_c, b_c = variants["corrected"]
-    assembled = a_c + pt.embed_unit_x() * b_c
+    assembled = AxialField(pt.p, pt.q, lambda r, y: a_c, lambda r, y: b_c).value_at(pt)
     errs["err_fullball_corrected"] = (assembled - oracle.evaluate(pt)).norm_inf
     errs["printed_vs_full_B"] = (variants["full"][1] - variants["printed"][1]).norm_inf
     return errs
@@ -293,8 +291,7 @@ _PSI_BATTERY = (
 
 def _suite_funkhecke(cfg: RunConfig, rng: SplitMix64):
     m = cfg.p
-    if m < 2 or m > 5:
-        raise ConfigError("funkhecke suite needs 2 <= p <= 5")
+    _check_range("funkhecke suite p", m, 2, 5)
     # Product-rule node counts grow like res^(m-1); cap the high dims.
     rules = _funk_hecke_rules(m, min(cfg.res, {2: cfg.res, 3: 48, 4: 32, 5: 20}[m]))
     for k in (0, 1, 2):
@@ -355,8 +352,6 @@ def _suite_kernel(cfg: RunConfig, rng: SplitMix64):
 
 
 def _suite_cauchy(cfg: RunConfig, rng: SplitMix64):
-    if cfg.q < 2:
-        raise ConfigError("cauchy suite needs q >= 2")
     hrule = hemisphere_rule(cfg.p, cfg.q, min(cfg.res, 40))
     ball = _ball_rule(cfg)
     pts = [_interior_point(rng, cfg.p, cfg.q, 0.5) for _ in range(2)]
@@ -489,7 +484,12 @@ def _cmd_eval(cfg: RunConfig, args):
             x[0] = r
             y = t * cfg.s
             pt = BiaxialPoint(cfg.p, cfg.q, x, y)
-            value = fn(pt)
+            try:
+                value = fn(pt)
+            except OverflowError:
+                value = None
+            if value is None or not np.isfinite(value.coeffs).all():
+                raise OverflowError(f"{args.field} is not finite at the grid point |x| = {r}, t = {t}")
             row = [float(v) for v in x] + [float(v) for v in y]
             for c in value.coeffs:
                 row.extend([float(c.real), float(c.imag)])
@@ -517,9 +517,8 @@ def _cmd_kernel_table(cfg: RunConfig, args):
             raise ConfigError(f"--y needs {cfg.q} components")
     nu = np.zeros(cfg.q)
     nu[0] = 1.0
-    rho = math.sqrt(float(max(rs)) ** 2 + float(np.dot(y, y)))
-    if rho > BALL_RADIUS_MAX:
-        raise ConfigError(f"grid reaches |x+y| = {rho:.3f} > {BALL_RADIUS_MAX}")
+    _check_range("grid |x+y|", math.sqrt(float(max(rs)) ** 2 + float(np.dot(y, y))),
+                 0, BALL_RADIUS_MAX)
     rule = sphere_rule(cfg.p, min(cfg.res, 64))
     _check_limit(rs.size * thetas.size * rule.points.shape[0], "kernel-table",
                  MAX_RECONSTRUCT_WORK, "row x node evaluations")
@@ -555,8 +554,6 @@ def _reconstruct_points(cfg: RunConfig, args):
 
 
 def _cmd_reconstruct(cfg: RunConfig, args):
-    if cfg.q < 2:
-        raise ConfigError("reconstruct needs q >= 2")
     if args.num_points < 1:
         raise ConfigError(f"need --num-points >= 1, got {args.num_points}")
     columns = _point_columns(cfg) + list(_RECONSTRUCTION_ERRORS)
@@ -691,7 +688,7 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args)
         code, payload = _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ValueError, ConvergenceError) as exc:
+    except (ConfigError, ValueError, ConvergenceError, OverflowError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
     text = _render_json(payload) if cfg.fmt == "json" else _render_csv(payload)

@@ -20,10 +20,12 @@ from typing import Callable
 import numpy as np
 
 from .algebra import BiaxialPoint, Multivector, embed_vector, vector_interior
-from .special import ConvergenceError
+from .special import ConvergenceError, _check_range
 
 FD_STEP_MIN = 1e-6
 FD_STEP_MAX = 1e-2
+# Largest J of hpw_recurrence.
+MAX_TRUNCATION = 60
 # Largest last term of a truncated series, relative to max(1, |sum|).
 SERIES_TAIL_TOL = 1e-14
 
@@ -265,8 +267,7 @@ def hpw_recurrence(c0: ExpLinear, d0: ExpLinear, p: int, q: int, J: int = 40) ->
     reaching one sets terminated, so the zero datum gives the empty
     series (truncation 0).
     """
-    if J > 60:
-        raise ValueError(f"truncation must satisfy J <= 60, got {J}")
+    _check_range("truncation J", J, 0, MAX_TRUNCATION)
     C, D = [], []
     c, d = c0, d0
     for j in range(J + 1):
@@ -380,9 +381,8 @@ def _central_difference(g: Callable, c: np.ndarray, first: int, dim: int, r: flo
     generators count from 1.  r is the point's distance from the x = 0
     axis, which the step must not cross.
     """
-    if not FD_STEP_MIN <= h <= FD_STEP_MAX:
-        raise ValueError(f"finite-difference step must lie in [{FD_STEP_MIN}, {FD_STEP_MAX}]")
-    if r <= 2.0 * h:
+    _check_range("finite-difference step", h, FD_STEP_MIN, FD_STEP_MAX)
+    if not r > 2.0 * h:
         raise ValueError(f"need |x| > 2h = {2.0 * h:g} for the step size, got |x| = {r:g}")
 
     def at(i, delta):

@@ -32,7 +32,7 @@ from .fields import (
     hpw_recurrence,
 )
 from .quadrature import SphereRule, sphere_area
-from .special import bessel_i, bessel_j, gamma_fn
+from .special import _check_range, bessel_i, bessel_j, gamma_fn
 
 MAX_POLY_DEGREE = 12
 
@@ -102,8 +102,7 @@ def exp_hpw_axial_field(p: int, q: int, s) -> AxialField:
 
 def poly_coeff_a(j: int, k: int, p: int) -> float:
     """Gamma-ratio coefficient of x^{2j+1} in the radialized vector part."""
-    if not 0 <= 2 * j + 1 <= k:
-        raise ValueError(f"need 0 <= 2j+1 <= k, got j={j}, k={k}")
+    _check_range("2j+1", 2 * j + 1, 0, k)
     return (
         (-1.0) ** j * math.comb(k, 2 * j + 1)
         * gamma_fn(0.5 * (p - 1.0)) * gamma_fn(j + 1.5) / gamma_fn(0.5 * p + j + 1.0)
@@ -112,8 +111,7 @@ def poly_coeff_a(j: int, k: int, p: int) -> float:
 
 def poly_coeff_b(j: int, k: int, p: int) -> float:
     """Gamma-ratio coefficient of x^{2j} in the radialized scalar part."""
-    if not 0 <= 2 * j <= k:
-        raise ValueError(f"need 0 <= 2j <= k, got j={j}, k={k}")
+    _check_range("2j", 2 * j, 0, k)
     return (
         (-1.0) ** j * math.comb(k, 2 * j)
         * gamma_fn(0.5 * (p - 1.0)) * gamma_fn(j + 0.5) / gamma_fn(0.5 * p + j)
@@ -141,16 +139,22 @@ def radialize_poly(k: int, pt: BiaxialPoint, s) -> Multivector:
     return poly_hpw_axial_field(pt.p, pt.q, s, k).value_at(pt)
 
 
-def radialize_poly_oracle(k: int, pt: BiaxialPoint, s, rule: SphereRule) -> Multivector:
-    """Direct sphere quadrature of the radialization integrand."""
+def _sphere_oracle(pt: BiaxialPoint, s, rule: SphereRule, integrand) -> Multivector:
+    """Quadrature of F (t + i s) over t in S^{p-1}, the one oracle of the
+    radialized families: integrand maps the nodes' <x, t> and the number
+    <y, s> to the weighted values w F."""
     s = _unit(s)
     if rule.dim != pt.p:
         raise ValueError("oracle needs a rule on S^{p-1}")
-    proj = rule.points @ pt.x + 1j * float(np.dot(pt.y, s))
-    zonal = rule.weights * proj ** k
+    zonal = integrand(rule.points @ pt.x, float(np.dot(pt.y, s)))
     x_part = zonal @ rule.points
     y_part = np.sum(zonal) * 1j * s
     return Multivector.vector(pt.dim, np.concatenate([x_part, y_part]))
+
+
+def radialize_poly_oracle(k: int, pt: BiaxialPoint, s, rule: SphereRule) -> Multivector:
+    """Direct sphere quadrature of the radialization integrand."""
+    return _sphere_oracle(pt, s, rule, lambda xt, ys: rule.weights * (xt + 1j * ys) ** k)
 
 
 def poly_hpw_axial_field(p: int, q: int, s, k: int) -> AxialField:
@@ -159,8 +163,7 @@ def poly_hpw_axial_field(p: int, q: int, s, k: int) -> AxialField:
     A(r, y) = i kappa coef_b s and B(r, y) = kappa coef_a r, where
     _poly_profile gives kappa coef_b (parity 0) and kappa coef_a (parity 1).
     """
-    if not 0 <= k <= MAX_POLY_DEGREE:
-        raise ValueError(f"degree must lie in [0, {MAX_POLY_DEGREE}], got {k}")
+    _check_range("degree", k, 0, MAX_POLY_DEGREE)
     s = _unit(s)
     dim = p + q
     return AxialField(
@@ -199,14 +202,9 @@ def fourier_kernel_closed(pt: BiaxialPoint, s) -> Multivector:
 
 def fourier_kernel_oracle(pt: BiaxialPoint, s, rule: SphereRule) -> Multivector:
     """Sphere quadrature of exp(<x,t> + i<y,s>) (t + i s) over t in S^{p-1}."""
-    s = _unit(s)
-    if rule.dim != pt.p:
-        raise ValueError("oracle needs a rule on S^{p-1}")
-    phase = cmath.exp(1j * float(np.dot(pt.y, s)))
-    zonal = rule.weights * np.exp(rule.points @ pt.x) * phase
-    x_part = zonal @ rule.points
-    y_part = np.sum(zonal) * 1j * s
-    return Multivector.vector(pt.dim, np.concatenate([x_part, y_part]))
+    # (weights * exp(<x,t>)) * phase: this order fixes the reported rounding.
+    return _sphere_oracle(pt, s, rule,
+                          lambda xt, ys: rule.weights * np.exp(xt) * cmath.exp(1j * ys))
 
 
 def fourier_axial_field(p: int, q: int, s) -> AxialField:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import gegenbauer_normalized
+from .special import _check_range, gegenbauer_normalized
 
 # Node budget of sphere_rule: admits sphere_rule(4, 96) = 884,736 nodes,
 # the finest rule the CLI requests.  It also bounds the entries of
@@ -57,7 +57,7 @@ def gauss_jacobi_rule(n: int, alpha: float) -> IntervalRule:
     if n * n > MAX_SPHERE_NODES:
         raise ValueError(f"gauss_jacobi_rule({n}, {alpha}) needs a {n} x {n} Jacobi matrix, "
                          f"above the limit of {MAX_SPHERE_NODES} entries")
-    if alpha <= -1.0:
+    if not alpha > -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {alpha}")
     mu0 = math.sqrt(math.pi) * math.gamma(alpha + 1.0) / math.gamma(alpha + 1.5)
     if n == 1:
@@ -101,8 +101,7 @@ def sphere_rule(d: int, resolution: int = 64) -> SphereRule:
     like resolution^(d-1); a rule above MAX_SPHERE_NODES is rejected before
     anything is allocated.
     """
-    if not 1 <= d <= 6:
-        raise ValueError(f"sphere dimension must satisfy 1 <= d <= 6, got {d}")
+    _check_range("sphere dimension d", d, 1, 6)
     if d > 1 and resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     if resolution ** (d - 1) > MAX_SPHERE_NODES:
@@ -186,8 +185,7 @@ def funk_hecke_check(psi, k: int, m: int, resolution: int = 24):
     of psi.  The equatorial measure |S^{m-2}| is the prefactor the identity
     actually balances with, as the m=3, psi=1 case (both sides 4 pi) pins.
     """
-    if not 2 <= m <= 6:
-        raise ValueError(f"need 2 <= m <= 6, got {m}")
+    _check_range("m", m, 2, 6)
     return _funk_hecke_sides(psi, k, m, *_funk_hecke_rules(m, resolution))
 
 

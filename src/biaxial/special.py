@@ -36,9 +36,25 @@ class ConvergenceError(RuntimeError):
     """A series or quadrature failed to reach the requested tolerance."""
 
 
+def _check_range(name: str, value, lo, hi) -> None:
+    """Raise ValueError naming the limit unless every value (a number or an
+    array) lies in [lo, hi]; NaN never does.  A number takes one chained
+    comparison, as callers sit on per-point paths."""
+    if isinstance(value, (int, float)):
+        if lo <= value <= hi:
+            return
+    else:
+        value = np.asarray(value)
+        inside = (value >= lo) & (value <= hi)
+        if inside.all():
+            return
+        value = value[~inside].flat[0]
+    raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+
+
 def gamma_fn(x: float) -> float:
     """Gamma function for positive arguments."""
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"gamma_fn requires x > 0, got {x}")
     return math.gamma(x)
 
@@ -54,11 +70,8 @@ def pochhammer(a: float, k: int) -> float:
 
 
 def _bessel_series(nu: float, z: float, signed: bool) -> float:
-    if not 0.0 <= nu <= BESSEL_MAX_ORDER:
-        raise ValueError(f"order must lie in [0, {BESSEL_MAX_ORDER}], got {nu}")
-    max_arg = BESSEL_J_MAX_ARG if signed else BESSEL_I_MAX_ARG
-    if not 0.0 <= z <= max_arg:
-        raise ValueError(f"argument must lie in [0, {max_arg}], got {z}")
+    _check_range("order", nu, 0, BESSEL_MAX_ORDER)
+    _check_range("argument", z, 0, BESSEL_J_MAX_ARG if signed else BESSEL_I_MAX_ARG)
     if z == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     quarter = 0.25 * z * z
@@ -97,13 +110,11 @@ def gegenbauer(k: int, lam: float, t):
     lam = m/2 - 1, m in [3, 8], the absolute error against mpmath is below
     1e-14 C_k^lam(1), the largest |C_k^lam| on [-1, 1] (measured: 2.6e-15).
     """
-    if not 0 <= k <= 30:
-        raise ValueError(f"degree must lie in [0, 30], got {k}")
-    if lam <= 0:
+    _check_range("degree", k, 0, 30)
+    if not lam > 0:
         raise ValueError(f"gegenbauer requires lam > 0, got {lam}")
     t = np.asarray(t, dtype=np.float64)
-    if np.any(np.abs(t) > 1.0 + 1e-12):
-        raise ValueError("argument outside [-1, 1]")
+    _check_range("argument", t, -1.0 - 1e-12, 1.0 + 1e-12)
     prev = np.ones_like(t)
     if k == 0:
         return prev if prev.ndim else float(prev)
@@ -196,8 +207,7 @@ def hyp2f1_symmetric(a: float, b: float, z) -> np.ndarray:
     up to 0.999.
     """
     z = np.asarray(z, dtype=np.float64)
-    if np.any(z < 0.0) or np.any(z > HYP2F1_MAX_Z):
-        raise ValueError(f"2F1 arguments must lie in [0, {HYP2F1_MAX_Z}]")
+    _check_range("2F1 argument z", z, 0, HYP2F1_MAX_Z)
     out = np.empty_like(z)
     low = z <= HYP2F1_SERIES_MAX_Z
     if np.any(low):

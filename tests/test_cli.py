@@ -164,6 +164,21 @@ def test_reused_parser_starts_each_call_from_its_defaults(tmp_path):
     assert len(json.loads(out.read_text())["rows"]) == 1
 
 
+@pytest.mark.parametrize("p, q", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("field", ["constant", "linear", "exp-hpw"])
+def test_reconstruct_on_the_x_axis_assembles_a_alone(tmp_path, field, p, q):
+    # At x = 0 the corrected pair assembles to A alone, as AxialField.value_at does.
+    out = tmp_path / "axis.json"
+    point = ",".join(["0"] * p) + ";" + ",".join(["0.1"] + ["0"] * (q - 1))
+    code = run(["reconstruct", "--field", field, "--p", str(p), "--q", str(q),
+                "--points", point, "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    row = dict(zip(payload["columns"], payload["rows"][0]))
+    assert row["err_A_corrected"] <= 1e-12 and row["err_B_corrected"] <= 1e-12
+    assert row["err_fullball_corrected"] <= 1e-9
+
+
 def test_verify_cauchy_reports_reduction_defect(tmp_path):
     out = tmp_path / "cauchy.json"
     code = run([
@@ -309,6 +324,22 @@ def test_eval_at_tiny_radius_gives_the_axis_limit(tmp_path, field, p, stop):
     for axis, tiny in zip(rows[:5], rows[5:]):
         for want, got in zip(axis[8:], tiny[8:]):
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("args, point", [
+    # exp(800) overflows to inf, and inf times a zero blade to NaN.
+    (["eval", "exp-hpw", "--grid-t", "0:800:2"], "|x| = 0.0, t = 800.0"),
+    # cmath.exp raises OverflowError.
+    (["eval", "ck", "--grid-t", "0:800:2"], "|x| = 0.0, t = 800.0"),
+    # (1e40)^12 overflows the profile's float arithmetic.
+    (["eval", "poly", "--k", "12", "--grid-t", "0:1e40:2"], "|x| = 0.0, t = 1e+40"),
+])
+def test_eval_overflow_exits_2_naming_the_first_grid_point(tmp_path, capsys, args, point):
+    out = tmp_path / "never.json"
+    assert run(args + ["--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"{args[1]} is not finite at the grid point {point}"
+    assert not out.exists()
 
 
 def test_over_budget_jacobi_rule_exits_2_naming_it(tmp_path, capsys):
