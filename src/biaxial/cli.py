@@ -485,7 +485,9 @@ def _cmd_eval(cfg: RunConfig, args):
             y = t * cfg.s
             pt = BiaxialPoint(cfg.p, cfg.q, x, y)
             try:
-                value = fn(pt)
+                # A value that overflows is refused below; numpy need not warn.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value = fn(pt)
             except OverflowError:
                 value = None
             if value is None or not np.isfinite(value.coeffs).all():

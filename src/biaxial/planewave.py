@@ -141,20 +141,28 @@ def radialize_poly(k: int, pt: BiaxialPoint, s) -> Multivector:
 
 def _sphere_oracle(pt: BiaxialPoint, s, rule: SphereRule, integrand) -> Multivector:
     """Quadrature of F (t + i s) over t in S^{p-1}, the one oracle of the
-    radialized families: integrand maps the nodes' <x, t> and the number
-    <y, s> to the weighted values w F."""
+    radialized families.  integrand maps the nodes' <x, t>, a fresh array it
+    may overwrite, and the number <y, s> to terms (v, c) with w F = sum c v:
+    real weighted node values v and complex constants c.  Every product with
+    the node array is real, and each c multiplies only the p sums of its v
+    and their total."""
     s = _unit(s)
     if rule.dim != pt.p:
         raise ValueError("oracle needs a rule on S^{p-1}")
-    zonal = integrand(rule.points @ pt.x, float(np.dot(pt.y, s)))
-    x_part = zonal @ rule.points
-    y_part = np.sum(zonal) * 1j * s
+    terms = integrand(rule.points @ pt.x, float(np.dot(pt.y, s)))
+    x_part = sum(c * (v @ rule.points) for v, c in terms)
+    y_part = sum(c * np.sum(v) for v, c in terms) * 1j * s
     return Multivector.vector(pt.dim, np.concatenate([x_part, y_part]))
 
 
 def radialize_poly_oracle(k: int, pt: BiaxialPoint, s, rule: SphereRule) -> Multivector:
     """Direct sphere quadrature of the radialization integrand."""
-    return _sphere_oracle(pt, s, rule, lambda xt, ys: rule.weights * (xt + 1j * ys) ** k)
+
+    def integrand(xt, ys):
+        zonal = rule.weights * (xt + 1j * ys) ** k
+        return (zonal.real, 1.0), (zonal.imag, 1j)
+
+    return _sphere_oracle(pt, s, rule, integrand)
 
 
 def poly_hpw_axial_field(p: int, q: int, s, k: int) -> AxialField:
@@ -202,9 +210,16 @@ def fourier_kernel_closed(pt: BiaxialPoint, s) -> Multivector:
 
 def fourier_kernel_oracle(pt: BiaxialPoint, s, rule: SphereRule) -> Multivector:
     """Sphere quadrature of exp(<x,t> + i<y,s>) (t + i s) over t in S^{p-1}."""
-    # (weights * exp(<x,t>)) * phase: this order fixes the reported rounding.
-    return _sphere_oracle(pt, s, rule,
-                          lambda xt, ys: rule.weights * np.exp(xt) * cmath.exp(1j * ys))
+
+    def integrand(xt, ys):
+        # w exp(<x,t>) is real and fills <x,t>'s buffer; the phase exp(i<y,s>)
+        # multiplies the p sums and their total, so the reported values round
+        # as (sum of w exp(<x,t>) t) * phase.
+        np.exp(xt, out=xt)
+        xt *= rule.weights
+        return ((xt, cmath.exp(1j * ys)),)
+
+    return _sphere_oracle(pt, s, rule, integrand)
 
 
 def fourier_axial_field(p: int, q: int, s) -> AxialField:

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from biaxial.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -340,6 +346,23 @@ def test_eval_overflow_exits_2_naming_the_first_grid_point(tmp_path, capsys, arg
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == f"{args[1]} is not finite at the grid point {point}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "exp-hpw", "--grid-t", "0:800:2"],
+    ["eval", "ck", "--grid-t", "0:800:2"],
+    ["eval", "poly", "--k", "12", "--grid-t", "0:1e40:2"],
+])
+def test_eval_overflow_writes_only_its_json_error(tmp_path, args):
+    # With warnings raised as errors, a numpy overflow warning would end the
+    # process with a traceback; without, it would come before the error line.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "biaxial.cli", *args,
+                           "--out", str(tmp_path / "never.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert json.loads(done.stderr)["error"].startswith(f"{args[1]} is not finite")
 
 
 def test_over_budget_jacobi_rule_exits_2_naming_it(tmp_path, capsys):

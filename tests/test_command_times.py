@@ -19,15 +19,19 @@ def command_times():
 def test_main_prints_one_line_per_command_and_the_total(command_times, monkeypatch, capsys):
     monkeypatch.setattr(command_times.report_digests, "commands",
                         lambda: [["eval", "constant"]])
-    (ms, argv), = command_times.best_times([["eval", "constant"]], rounds=1)
+    (ms, mb, argv), = command_times.best_times([["eval", "constant"]], rounds=1)
     assert argv == ["eval", "constant", "--seed", "1", "--format", "json"]
     assert 0.0 < ms < 60e3
+    assert 0.0 < mb <= command_times.peak_rss_mb()
     command_times.main()
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
-    ms_text, argv_text = lines[0].strip().split("  ", 1)
+    ms_text, mb_text, argv_text = lines[0].split(maxsplit=2)
     assert argv_text == "eval constant --seed 1 --format json"
-    assert lines[1].strip() == f"{ms_text}  total"
+    total_ms, total_mb, total = lines[1].split()
+    assert (total_ms, total) == (ms_text, "total")
+    # The high-water mark only rises, and the total line reads it last.
+    assert 0.0 < float(mb_text) <= float(total_mb)
 
 
 COMMANDS = [["eval", "constant"], ["eval", "linear"], ["verify", "algebra", "--p", "2"]]
@@ -46,7 +50,7 @@ def test_main_times_only_the_commands_a_prefix_selects(command_times, monkeypatc
     monkeypatch.setattr(command_times.report_digests, "commands", lambda: COMMANDS)
     assert command_times.main(["eval linear"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.strip().split("  ", 1)[1] for line in lines] == [
+    assert [line.split(maxsplit=2)[2] for line in lines] == [
         "eval linear --seed 1 --format json", "total"]
     assert command_times.main(["kernel-table"]) == 2
     captured = capsys.readouterr()

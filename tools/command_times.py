@@ -7,8 +7,14 @@ package is imported from that checkout's ``src``.  Every command of
 warm-up round goes first; then each command keeps its best of 3 rounds.
 The script prints one line per command and then the sum:
 
-    <ms>  <argv>
-    <ms>  total
+    <ms>  <MB>  <argv>
+    <ms>  <MB>  total
+
+MB is the process's memory high-water mark (``ru_maxrss``) right after the
+command's warm-up run, and on the total line the mark at the end.  The mark
+only rises, so the command at which it reaches its final value is the one
+that sets the peak of a process running them all, as the benchmark's
+``cli_verify`` workload does.
 
 Arguments are argv prefixes, one per argument, that select the commands
 to time: ``python3 tools/command_times.py "verify cauchy" kernel-table``
@@ -29,6 +35,7 @@ import contextlib
 import io
 import math
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -51,11 +58,18 @@ def _run_ms(argv, out):
         return 1e3 * (time.perf_counter() - start)
 
 
+def peak_rss_mb():
+    """The process's memory high-water mark in MB (ru_maxrss is in KB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def best_times(commands, rounds=ROUNDS):
-    """[(best ms, argv)] per command: one warm-up round, then the best of
-    `rounds` rounds, each round running every command once in order."""
+    """[(best ms, peak MB, argv)] per command: one warm-up round, then the
+    best of `rounds` rounds, each round running every command once in
+    order.  Peak MB is peak_rss_mb() right after the command's warm-up run."""
     argvs = [list(argv) + ["--seed", "1", "--format", "json"] for argv in commands]
     best = [math.inf] * len(argvs)
+    peaks = [0.0] * len(argvs)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report")
         for round_ in range(rounds + 1):
@@ -63,7 +77,9 @@ def best_times(commands, rounds=ROUNDS):
                 ms = _run_ms(argv, out)
                 if round_:
                     best[i] = min(best[i], ms)
-    return list(zip(best, argvs))
+                else:
+                    peaks[i] = peak_rss_mb()
+    return list(zip(best, peaks, argvs))
 
 
 def select(commands, prefixes):
@@ -85,9 +101,9 @@ def main(prefixes=()):
         sys.stderr.write(f"{exc}\n")
         return 2
     rows = best_times(commands)
-    for ms, argv in rows:
-        print(f"{ms:9.1f}  {' '.join(argv)}", flush=True)
-    print(f"{sum(ms for ms, _ in rows):9.1f}  total")
+    for ms, mb, argv in rows:
+        print(f"{ms:9.1f}  {mb:7.1f}  {' '.join(argv)}", flush=True)
+    print(f"{sum(ms for ms, _, _ in rows):9.1f}  {peak_rss_mb():7.1f}  total")
     return 0
 
 
