@@ -275,6 +275,11 @@ class BiaxialPoint:
         y = np.array(self.y, dtype=np.float64)
         if x.shape != (self.p,) or y.shape != (self.q,):
             raise ValueError("coordinate arrays do not match the axis dimensions")
+        coords = x.tolist() + y.tolist()
+        if not all(map(math.isfinite, coords)):
+            k = next(k for k, v in enumerate(coords) if not math.isfinite(v))
+            where = f"x[{k}]" if k < self.p else f"y[{k - self.p}]"
+            raise ValueError(f"coordinate {where} must be finite, got {coords[k]}")
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)

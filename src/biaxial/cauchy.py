@@ -41,9 +41,8 @@ from .special import _check_range, hyp2f1_symmetric
 
 BALL_RADIUS_MAX = 0.9
 _MIN_BOUNDARY_DISTANCE = 0.05
-# Nodes per array pass of the hemisphere sweep and of the kernel oracle;
-# bounds the (nodes x 2^dim), (nodes x Jacobi) and (nodes x p) work arrays
-# for fine rules.
+# Nodes per array pass of the hemisphere sweep; bounds the (nodes x 2^dim),
+# (nodes x Jacobi) and (nodes x q) work arrays for fine rules.
 _NODE_BLOCK = 4096
 
 
@@ -154,10 +153,15 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
     Integrates |x + y - cos(theta) omega - sin(theta) nu|^{-(p+q)} over
     omega; depends on x only through |x|, which the zonal-invariance tests
     exercise.  y of shape (q,) gives a float; a stack (K, q) gives the K
-    floats as an array, sharing one pass over the omega nodes.  The pass
-    walks the nodes in blocks of _NODE_BLOCK; every node's integrand is
-    computed as in one whole-rule pass and summed once over all nodes, so
-    the values do not depend on the block size.
+    floats as an array.  One real pass over the whole rule: with |omega| = 1
+    to rounding and dy = y - sin(theta) nu,
+      |x - c omega|^2 + |dy|^2 = (|x|^2 + c^2 + |dy|^2) - 2c <x, omega>,
+    so one matvec <x, omega> serves every y.  The expansion rounds apart
+    from the direct square and can put an exact zero slightly below 0,
+    which the near-singular check refuses like any tiny distance.  Each y's
+    row is formed from the same floats as its single-y call and reduced by
+    its own dot with the weights, so a stack gives the per-y floats bit for
+    bit.
     """
     x = np.asarray(x, dtype=np.float64)
     ys = np.asarray(y, dtype=np.float64)
@@ -167,20 +171,14 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
         raise ValueError("oracle rule must live on S^{p-1}")
     c, s = math.cos(theta), math.sin(theta)
     dy = ys.reshape(-1, q) - s * np.asarray(nu, dtype=np.float64)
-    dy2 = np.array([float(np.dot(row, row)) for row in dy])
-    n = rule.points.shape[0]
-    buf = np.empty((min(_NODE_BLOCK, n), p))
-    integrand = np.empty((dy2.size, n))
-    for start in range(0, n, _NODE_BLOCK):
-        stop = min(start + _NODE_BLOCK, n)
-        dx = buf[:stop - start]
-        np.multiply(rule.points[start:stop], c, out=dx)
-        np.subtract(x, dx, out=dx)
-        dist2 = np.einsum("ij,ij->i", dx, dx) + dy2[:, None]
-        if not math.sqrt(float(np.min(dist2, initial=np.inf))) >= _MIN_BOUNDARY_DISTANCE:
-            raise ValueError("kernel oracle integrand is near-singular at this node")
-        integrand[:, start:stop] = dist2 ** (-0.5 * (p + q))
-    values = [float(np.dot(rule.weights, row)) for row in integrand]
+    t = rule.points @ x
+    t *= -2.0 * c
+    x2 = float(np.dot(x, x)) + c * c
+    dist2 = np.array([[x2 + float(np.dot(row, row))] for row in dy]) + t
+    if not float(np.min(dist2, initial=np.inf)) >= _MIN_BOUNDARY_DISTANCE ** 2:
+        raise ValueError("kernel oracle integrand is near-singular at this node")
+    np.power(dist2, -0.5 * (p + q), out=dist2)
+    values = [float(np.dot(rule.weights, row)) for row in dist2]
     return values[0] if ys.ndim == 1 else np.array(values)
 
 

@@ -2,10 +2,12 @@
 
 These are the per-sample loops the batched library code replaced, kept
 unchanged: the scalar SplitMix64.uniform_array, the per-pair geometric
-product (with the sign table and vector constructor it used), the
-single-y kernel_I_oracle, funk_hecke_check building its rules on every
-call, and the three verify suites written against them.  The tests hold
-biaxial.cli's suites to these references bit for bit.
+product (with the sign table and vector constructor it used), the kernel
+suite's one oracle call per y, funk_hecke_check building its rules on
+every call, and the three verify suites written against them.  The kernel
+suite calls the library's kernel_I_oracle one y at a time, so it holds the
+CLI's stacked-y call to single-y calls.  The tests hold biaxial.cli's
+suites to these references bit for bit.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 
 from biaxial import algebra, rng
 from biaxial.algebra import vector_exterior, vector_interior
-from biaxial.cauchy import _MIN_BOUNDARY_DISTANCE, KernelParams, kernel_I_closed
+from biaxial.cauchy import KernelParams, kernel_I_closed, kernel_I_oracle
 from biaxial.cli import _PSI_BATTERY, ConfigError, RunConfig, _check, _rel
 from biaxial.quadrature import _harmonic, gauss_jacobi_rule, sphere_area, sphere_rule
 from biaxial.special import gegenbauer_normalized
@@ -91,24 +93,6 @@ class BiaxialPoint(algebra.BiaxialPoint):
 
     def embed(self) -> Multivector:
         return Multivector.vector(self.dim, np.concatenate([self.x, self.y]))
-
-
-def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
-                    rule) -> float:
-    """Direct S^{p-1} quadrature of the kernel integral at one y."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    p = x.size
-    q = y.size
-    if rule.dim != p:
-        raise ValueError("oracle rule must live on S^{p-1}")
-    c, s = math.cos(theta), math.sin(theta)
-    dx = x[None, :] - c * rule.points
-    dy = y - s * np.asarray(nu, dtype=np.float64)
-    dist2 = np.einsum("ij,ij->i", dx, dx) + float(np.dot(dy, dy))
-    if math.sqrt(float(np.min(dist2))) < _MIN_BOUNDARY_DISTANCE:
-        raise ValueError("kernel oracle integrand is near-singular at this node")
-    return float(np.dot(rule.weights, dist2 ** (-0.5 * (p + q))))
 
 
 def funk_hecke_check(psi, k: int, m: int, resolution: int = 24):
@@ -193,14 +177,14 @@ def _kernel_grid(cfg: RunConfig):
                 yield float(r), float(theta), ylen * yhat, nu
 
 
-def _kernel_pair(cfg: RunConfig, rule, r: float, theta: float, y, nu):
+def _kernel_pair(cfg: RunConfig, oracle, rule, r: float, theta: float, y, nu):
     """The node's KernelParams, closed kernel moment I and its S^{p-1}
-    quadrature oracle at x = r e_1."""
+    quadrature oracle at x = r e_1, one y per call."""
     kp = KernelParams(cfg.p, cfg.q, r, y, theta, nu)
     closed = kernel_I_closed(kp)
     x = np.zeros(cfg.p)
     x[0] = r
-    return kp, closed, kernel_I_oracle(x, y, theta, nu, rule)
+    return kp, closed, oracle(x, y, theta, nu, rule)
 
 
 def _suite_kernel(cfg: RunConfig):
@@ -210,7 +194,7 @@ def _suite_kernel(cfg: RunConfig):
     worst = 0.0
     anchor = 0.0
     for r, theta, y, nu in _kernel_grid(cfg):
-        kp, closed, oracle = _kernel_pair(cfg, rule, r, theta, y, nu)
+        kp, closed, oracle = _kernel_pair(cfg, kernel_I_oracle, rule, r, theta, y, nu)
         worst = max(worst, abs(closed - oracle) / max(abs(closed), abs(oracle)))
         if r == 0.0:
             expected = sphere_area(cfg.p) * kp.tau ** (-0.5 * (cfg.p + cfg.q))

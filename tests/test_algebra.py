@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,17 @@ def test_point_validation():
     pt = BiaxialPoint(2, 1, np.array([0.0, 0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         _ = pt.unit_x
+
+
+@pytest.mark.parametrize("x,y,where", [
+    ([math.nan, 0.0], [0.0, 0.0], "x[0] must be finite, got nan"),
+    ([0.1, math.inf], [0.0, 0.0], "x[1] must be finite, got inf"),
+    ([0.1, 0.0], [0.0, -math.inf], "y[1] must be finite, got -inf"),
+    ([0.1, math.nan], [math.nan, 0.0], "x[1] must be finite, got nan"),
+])
+def test_point_rejects_non_finite_coordinates_naming_them(x, y, where):
+    with pytest.raises(ValueError, match=re.escape(f"coordinate {where}")):
+        BiaxialPoint(2, 2, x, y)
 
 
 @pytest.mark.parametrize("norm", [6.5e-161, 1e-163, 1e-300])

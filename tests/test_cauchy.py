@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -129,6 +130,23 @@ def test_kernel_oracle_stack_keeps_the_singular_and_rule_checks():
     for y in (fine, np.array([fine, fine])):
         with pytest.raises(ValueError, match="oracle rule must live on S"):
             kernel_I_oracle(np.zeros(3), y, 0.4, NU, rule)
+
+
+@pytest.mark.parametrize("p,res", [(2, 64), (3, 16), (4, 8)])
+def test_kernel_oracle_exact_hit_rounded_below_zero_is_near_singular(p, res):
+    # x + y = cos(theta) omega_j + sin(theta) nu puts node j at distance 0
+    # exactly; the expanded |x|^2 + c^2 - 2c <x, omega> rounds it to a tiny
+    # value of either sign, and both must give the named error.
+    rule = sphere_rule(p, res)
+    for theta in (0.3, 0.6, 1.0):
+        for point in rule.points:
+            x = math.cos(theta) * point
+            if float(np.linalg.norm(x)) > 0.55:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="near-singular"):
+                    kernel_I_oracle(x, math.sin(theta) * NU, theta, NU, rule)
 
 
 @pytest.mark.parametrize("pq", [(2, 2), (3, 2), (2, 3), (3, 3)])

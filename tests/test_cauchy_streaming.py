@@ -1,6 +1,6 @@
-"""The streamed kernel_I_oracle against the one-pass code it replaced, bit
-for bit, and the live-column FullBallCauchy.evaluate against the complex
-products it replaced, to rounding."""
+"""The whole-rule kernel_I_oracle against the one-pass code it replaced and
+the live-column FullBallCauchy.evaluate against the complex products it
+replaced, both to rounding."""
 
 import math
 import warnings
@@ -22,8 +22,8 @@ from biaxial.rng import SplitMix64
 import one_pass_reference as reference
 import probe_reference
 
-# sphere_rule(p, res) has res^(p-1) nodes: below, equal to, and not a
-# multiple of the default 4,096-node block, per p.
+# sphere_rule(p, res) has res^(p-1) nodes: a coarse, a medium and a fine
+# rule per p, up to 5,000 nodes.
 RESOLUTIONS = {2: (64, 4096, 5000), 3: (20, 64, 70), 4: (8, 16, 17), 5: (5, 8, 9)}
 
 
@@ -53,20 +53,19 @@ def oracle_cases(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(case=oracle_cases(), block=st.sampled_from([None, 37]))
-def test_streamed_oracle_equals_one_pass(case, block):
+@given(case=oracle_cases())
+def test_streamed_oracle_equals_one_pass(case):
+    # The oracle expands |x - c omega|^2 = |x|^2 + c^2 - 2c <x, omega>, so
+    # it meets the reference's direct squares to rounding (below 4e-15
+    # relative over 3,000 random cases of this domain), not bit for bit.
     x, y, theta, nu, rule = case
     expected = reference.kernel_I_oracle(x, y, theta, nu, rule)
-    with pytest.MonkeyPatch.context() as mp:
-        if block is not None:
-            mp.setattr(cauchy, "_NODE_BLOCK", block)
-        got = kernel_I_oracle(x, y, theta, nu, rule)
+    got = kernel_I_oracle(x, y, theta, nu, rule)
     if y.ndim == 1:
         assert isinstance(got, float)
-        assert got.hex() == expected.hex()
     else:
         assert got.shape == (y.shape[0],) and got.dtype == np.float64
-        assert got.tobytes() == expected.tobytes()
+    assert np.all(np.abs(np.subtract(got, expected)) <= 1e-13 * np.abs(expected))
 
 
 @pytest.mark.parametrize("res,block", [(8, 37), (70, None)])

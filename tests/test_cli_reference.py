@@ -1,7 +1,7 @@
 """The batched verify suites against the per-sample loops they replaced.
 
 cli_reference.py holds the former algebra, kernel and Funk-Hecke suites
-with the scalar generator, the per-pair product, the single-y oracle and
+with the scalar generator, the per-pair product, one oracle call per y and
 the per-call Funk-Hecke rules.  Every measured value must come out bit
 for bit, so the suites' reports stay byte-identical.
 """
