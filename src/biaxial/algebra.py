@@ -6,6 +6,10 @@ coefficients.  Elements are stored densely: the coefficient index is the
 blade bitmask, bit i set meaning the factor e_{i+1} is present, factors
 taken in increasing order.  All values are immutable and all operations
 are pure, so they are safe to use from multiple threads.
+
+The geometric product goes through the matrix representation of the
+algebra (_matrix_tables); a product whose left factor is a vector goes
+through one signed permutation per generator instead (vector_product).
 """
 
 import math
@@ -17,36 +21,78 @@ MAX_DIM = 12
 
 
 @lru_cache(maxsize=None)
-def _blade_tables(dim: int):
-    """Sign table of blade products (2^dim x 2^dim, int8) and blade grades.
-
-    sign[a, b] is the sign of e_A e_B relative to the canonical blade
-    e_{A xor B}: count the generator transpositions needed to merge the
-    two factor lists, then flip once more per shared generator since
-    e_i^2 = -1.  perm[i, k] = i ^ k and gsign[i, k] = sign[i, i ^ k] are its gather form.
-    """
-    size = 1 << dim
-    idx = np.arange(size)
-    grades = np.zeros(size, dtype=np.int64)
-    for bit in range(dim):
-        grades += (idx >> bit) & 1
-    swaps = np.zeros((size, size), dtype=np.int64)
-    shifted = idx[:, None] >> 1
-    while shifted.any():
-        swaps += grades[shifted & idx[None, :]]
-        shifted = shifted >> 1
-    swaps += grades[idx[:, None] & idx[None, :]]
-    sign = np.where(swaps % 2 == 0, 1, -1).astype(np.int8)
-    perm = idx[:, None] ^ idx
-    gsign = np.take_along_axis(sign, perm, axis=1)[:, :, None]
-    for table in (sign, grades, perm, gsign):
-        table.setflags(write=False)
-    return sign, grades, perm, gsign
-
-
 def blade_grades(dim: int) -> np.ndarray:
     """Grade (generator count) of every blade bitmask in dimension dim."""
-    return _blade_tables(dim)[1]
+    idx = np.arange(1 << dim)
+    grades = sum((idx >> bit) & 1 for bit in range(dim))
+    grades.setflags(write=False)
+    return grades
+
+
+@lru_cache(maxsize=None)
+def _generator_rows(dim: int):
+    """Sign and source rows of the products e_i e_B, one per generator.
+
+    e_i e_B lands on blade k = B ^ 2^i with the sign of the swaps that move
+    e_i past the factors of B below it, flipped once more when e_i is in B
+    (e_i^2 = -1): with k's bits 0..i, that is -(-1)^popcount.  signs
+    (dim, 2^dim, 1) int8 holds that sign at the target blade k, perms
+    (dim, 2^dim) the source blade k ^ 2^i; gens holds the blades 2^i.
+    """
+    idx = np.arange(1 << dim)
+    gens = 1 << np.arange(dim)
+    parity = np.cumsum([(idx >> i) & 1 for i in range(dim)], axis=0) % 2
+    signs = (2 * parity - 1).astype(np.int8)[:, :, None]
+    perms = idx ^ gens[:, None]
+    for table in (signs, perms, gens):
+        table.setflags(write=False)
+    return signs, perms, gens
+
+
+@lru_cache(maxsize=None)
+def _matrix_tables(dim: int):
+    """Tables of the product through Cl_2h(C) = M(2^h, C), h = ceil(dim / 2).
+
+    The generators act on h qubits, qubit k being bit k of a row index:
+    e_{2k+1} = i Z..Z X_k and e_{2k+2} = i Z..Z Y_k, with Z on the qubits
+    below k (Jordan-Wigner; Lounesto, Clifford Algebras and Spinors, 2nd
+    ed., ch. 16).  An odd dim uses the first dim generators of dim + 1.
+    Every blade matrix is monomial: row r of Gamma_A holds its one entry,
+    a phase in {1, i, -1, -i}, in column r ^ mask[A].  With the blades
+    grouped by mask, g = 2^dim / 2^h per mask,
+      M[r, r ^ m] = sum over A in group m of c_A phase[A, r],
+      c_A = tr(Gamma_A^H M) / 2^h = sum_r conj(phase[A, r]) M[r, r ^ m] / 2^h.
+    Returns the blade order of the groups and its inverse, the phases as
+    (2^h, g, 2^h) and their scaled conjugates as (2^h, 2^h, g), and the
+    gathers between the flat matrix and its (mask, row) layout.
+    """
+    h = (dim + 1) // 2
+    n = 1 << h
+    rows = np.arange(n)
+    # parity[k]: parity of the bits of r below k, the sign of Z..Z on qubits < k.
+    parity = np.cumsum([0 * rows] + [(rows >> k) & 1 for k in range(h)], axis=0) % 2
+    phase = np.ones((1, n), dtype=np.complex128)
+    mask = np.zeros(1, dtype=np.int64)
+    for j in range(dim):
+        # Blades 2^j .. 2^(j+1) - 1 are the lower ones times e_{j+1} on the
+        # right.  Y_k's entries -i, i carry Z_k's sign, so e_{2k+2} is real.
+        k = j // 2
+        gen = (1 - 2 * parity[k + j % 2]) * (1.0 if j % 2 else 1j)
+        phase = np.concatenate([phase, phase * gen[rows ^ mask[:, None]]])
+        mask = np.concatenate([mask, mask ^ (1 << k)])
+    order = np.argsort(mask, kind="stable")
+    to_matrix = phase[order].reshape(n, -1, n)
+    del phase
+    from_matrix = np.empty((n, n, to_matrix.shape[1]), dtype=np.complex128)
+    np.conj(to_matrix.transpose(0, 2, 1), out=from_matrix)
+    from_matrix /= n
+    # Entry (m, r) of the mask layout is matrix entry (r, r ^ m).
+    to_flat = ((rows[:, None] ^ rows) * n + rows[:, None]).ravel()
+    from_flat = (rows * n + (rows ^ rows[:, None])).ravel()
+    tables = (order, np.argsort(order), to_matrix, from_matrix, to_flat, from_flat)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def blade_name(mask: int) -> str:
@@ -150,8 +196,8 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check_same(other)
-            out = _product_columns(self.coeffs[:, None], other.coeffs[:, None], self.dim)
-            return Multivector._wrap(self.dim, out[:, 0])
+            out = _matrix_product(self.coeffs[None], other.coeffs[None], self.dim)
+            return Multivector._wrap(self.dim, out[0])
         return Multivector._wrap(self.dim, self.coeffs * complex(other))
 
     def __rmul__(self, other):
@@ -191,15 +237,21 @@ class Multivector:
         return f"Multivector(dim={self.dim}: {body})"
 
 
-def _product_columns(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
-    """Products of blade-major coefficient columns a, b (2^dim, N): blade k sums
-    (a_i sign[i, i ^ k]) b_{i ^ k} over ascending i, skipping blades zero in all of a."""
-    _, _, perm, gsign = _blade_tables(dim)
-    out = np.zeros(b.shape, dtype=np.complex128)
-    # One column needs no any() reduction, which costs more than a one-blade product.
-    for i in np.flatnonzero(a[:, 0] if a.shape[1] == 1 else a.any(axis=1)).tolist():
-        out += (a[i] * gsign[i]) * b.take(perm[i], axis=0)
-    return out
+def _matrix_product(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Row-wise products of (N, 2^dim) coefficient rows through the matrix
+    representation of _matrix_tables: each row's two coefficient-to-matrix
+    maps, 2^h x 2^h product and map back are matmul calls of their own, with
+    shapes that do not depend on N, so a row's bits do not either."""
+    order, unorder, to_matrix, from_matrix, to_flat, from_flat = _matrix_tables(dim)
+    n, g = to_matrix.shape[:2]
+    rows = a.shape[0]
+
+    def matrices(c):
+        by_mask = c.take(order, axis=1).reshape(rows, n, 1, g) @ to_matrix
+        return by_mask.reshape(rows, n * n).take(to_flat, axis=1).reshape(rows, n, n)
+
+    by_mask = (matrices(a) @ matrices(b)).reshape(rows, n * n).take(from_flat, axis=1)
+    return (by_mask.reshape(rows, n, 1, n) @ from_matrix).reshape(rows, -1).take(unorder, axis=1)
 
 
 def batch_product(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
@@ -208,37 +260,66 @@ def batch_product(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     a, b = (np.asarray(m, dtype=np.complex128) for m in (a, b))
     if a.shape != b.shape or a.shape[1:] != (1 << dim,):
         raise ValueError("inconsistent batch shapes")
-    return np.ascontiguousarray(_product_columns(a.T, np.ascontiguousarray(b.T), dim).T)
+    return _matrix_product(a, b, dim)
 
 
-def _vector_bits(x: Multivector):
-    """(i, x_i) for the nonzero coefficients of a pure grade-1 x."""
-    if np.any(x.coeffs[blade_grades(x.dim) != 1]):
+def _vector_columns(x: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Products of grade-1 columns x (dim, N), the generator coefficients,
+    with coefficient columns b (2^dim, N): blade k sums
+    (x_i signs[i, k]) b_{k ^ 2^i} over ascending i, skipping generators
+    zero in all of x."""
+    signs, perms, _ = _generator_rows(dim)
+    out = np.zeros(b.shape, dtype=np.complex128)
+    # One column needs no any() reduction, which costs more than one term.
+    for i in np.flatnonzero(x[:, 0] if x.shape[1] == 1 else x.any(axis=1)).tolist():
+        out += (x[i] * signs[i]) * b.take(perms[i], axis=0)
+    return out
+
+
+def _vector_coeffs(x: Multivector) -> np.ndarray:
+    """The generator coefficients x_1..x_dim of a pure grade-1 x."""
+    comps = x.coeffs.take(_generator_rows(x.dim)[2])
+    if np.count_nonzero(comps) != np.count_nonzero(x.coeffs):
         raise ValueError("expected a pure grade-1 multivector")
-    return [(i, x.coeffs[1 << i]) for i in range(x.dim) if x.coeffs[1 << i] != 0]
+    return comps
+
+
+def vector_product(x: Multivector, b: Multivector) -> Multivector:
+    """x*b for a pure grade-1 x, as the sum of x_i (e_i b) over its nonzero
+    x_i; each e_i b is a signed permutation of b's coefficients.  It meets
+    x * b to rounding at a cost of one pass per live generator."""
+    x._check_same(b)
+    out = _vector_columns(_vector_coeffs(x)[:, None], b.coeffs[:, None], x.dim)
+    return Multivector._wrap(x.dim, out[:, 0])
+
+
+def batch_vector_product(components: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Rows v_n b_n of vector_product for vector components (N, dim) and
+    coefficient rows b (N, 2^dim); a generator zero in every row is skipped."""
+    x, b = (np.asarray(m, dtype=np.complex128) for m in (components, b))
+    if x.shape != (b.shape[0], dim) or b.shape[1:] != (1 << dim,):
+        raise ValueError("inconsistent batch shapes")
+    return np.ascontiguousarray(_vector_columns(x.T, np.ascontiguousarray(b.T), dim).T)
 
 
 def _vector_product_parts(x: Multivector, a: Multivector):
     """Split x*a term-by-term into the grade-lowering and grade-raising parts.
 
     For a basis vector e_i and a blade e_A the product lowers the grade
-    exactly when i is a factor of A; that term partition realizes
-    x . a_k = (x a_k - (-1)^k a_k x)/2 and x ^ a_k = (x a_k + (-1)^k a_k x)/2
-    with the same per-term arithmetic as the full product.
+    exactly when i is a factor of A, so the term lands on a blade without
+    i; that term partition realizes x . a_k = (x a_k - (-1)^k a_k x)/2 and
+    x ^ a_k = (x a_k + (-1)^k a_k x)/2 with the sign rows of vector_product.
     """
     x._check_same(a)
-    sign = _blade_tables(x.dim)[0]
-    size = 1 << x.dim
-    idx = np.arange(size)
-    lower = np.zeros(size, dtype=np.complex128)
-    raise_ = np.zeros(size, dtype=np.complex128)
-    ac = a.coeffs
-    for i, xi in _vector_bits(x):
-        bit = 1 << i
-        inside = (idx & bit) != 0
-        row = (xi * sign[bit]) * ac
-        lower[idx[inside] ^ bit] += row[inside]
-        raise_[idx[~inside] ^ bit] += row[~inside]
+    signs, perms, _ = _generator_rows(x.dim)
+    comps = _vector_coeffs(x)
+    lower = np.zeros(1 << x.dim, dtype=np.complex128)
+    raise_ = np.zeros(1 << x.dim, dtype=np.complex128)
+    for i in np.flatnonzero(comps).tolist():
+        # Axis 1 of the (-1, 2, 2^i) view is bit i of the target blade.
+        term = ((comps[i] * signs[i, :, 0]) * a.coeffs.take(perms[i])).reshape(-1, 2, 1 << i)
+        lower.reshape(-1, 2, 1 << i)[:, 0] += term[:, 0]
+        raise_.reshape(-1, 2, 1 << i)[:, 1] += term[:, 1]
     return lower, raise_
 
 

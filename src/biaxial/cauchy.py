@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BiaxialPoint, Multivector, batch_product
+from .algebra import BiaxialPoint, Multivector, batch_vector_product, vector_product
 from .fields import AxialField
 from .quadrature import HemisphereRule, SphereRule, sphere_area
 from .special import _check_range, hyp2f1_symmetric
@@ -284,13 +284,13 @@ def reconstruct_ab_variants(field: AxialField, pt: BiaxialPoint, hrule: Hemisphe
     for block, block_cols in zip(blocks, cols):
         mom += _node_moments(p, q, r, pt.y, block, block_cols)
     mom /= sphere_area(dim)
-    y_basis = np.eye(1 << dim)[1 << np.arange(p, dim)]  # coefficient rows of e_{p+1}..e_{p+q}
-    nu_a = batch_product(y_basis, mom[0, 2:], dim).sum(axis=0)
-    nu_b = batch_product(y_basis, mom[1, 2:], dim).sum(axis=0)
+    y_basis = np.eye(dim)[p:]  # components of e_{p+1}..e_{p+q}
+    nu_a = batch_vector_product(y_basis, mom[0, 2:], dim).sum(axis=0)
+    nu_b = batch_vector_product(y_basis, mom[1, 2:], dim).sum(axis=0)
     core = nu_a - mom[1, 1]
     odd = nu_b - mom[0, 1]
     y_mv = pt.embed_y_vector(pt.y)
-    y_core, y_odd = ((y_mv * Multivector._wrap(dim, v)).coeffs for v in (core, odd))
+    y_core, y_odd = (vector_product(y_mv, Multivector._wrap(dim, v)).coeffs for v in (core, odd))
     a_full = Multivector(dim, mom[0, 0] + y_core)
     return {
         "full": (a_full, Multivector(dim, r * core)),
@@ -344,6 +344,6 @@ class FullBallCauchy:
         # Bilinearity, with eta eta = -|eta|^2:
         # sum scale (z - eta) eta f = z sum_i e_i (sum scale eta_i f) + sum scale |eta|^2 f.
         moments = _live_product(self._rows * scale, self._cols)
-        eta_f = batch_product(np.eye(1 << dim)[1 << np.arange(dim)], moments[:-1], dim).sum(axis=0)
-        total = (pt.embed() * Multivector._wrap(dim, eta_f)).coeffs + moments[-1]
+        eta_f = batch_vector_product(np.eye(dim), moments[:-1], dim).sum(axis=0)
+        total = vector_product(pt.embed(), Multivector._wrap(dim, eta_f)).coeffs + moments[-1]
         return Multivector(dim, total / sphere_area(dim))

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import BiaxialPoint, Multivector, embed_vector, vector_interior
+from .algebra import BiaxialPoint, Multivector, embed_vector, vector_interior, vector_product
 from .special import ConvergenceError, _check_range
 
 FD_STEP_MIN = 1e-6
@@ -314,7 +314,7 @@ def eval_series(series: PlaneWaveSeries, pt: BiaxialPoint):
     # for odd j, where x^j = (-1)^(j//2) |x|^(j-1) x.
     bases = (
         (Multivector.scalar(dim, 1.0).coeffs, s_mv.coeffs),
-        (x_mv.coeffs, (x_mv * s_mv).coeffs),
+        (x_mv.coeffs, vector_product(x_mv, s_mv).coeffs),
     )
     acc = np.zeros(1 << dim, dtype=np.complex128)
     term = 0.0
@@ -392,7 +392,8 @@ def _central_difference(g: Callable, c: np.ndarray, first: int, dim: int, r: flo
 
     acc = Multivector.zero(dim)
     for i in range(c.size):
-        acc = acc + Multivector.basis_vector(dim, first + i) * ((at(i, h) - at(i, -h)) / (2.0 * h))
+        diff = (at(i, h) - at(i, -h)) / (2.0 * h)
+        acc = acc + vector_product(Multivector.basis_vector(dim, first + i), diff)
     return acc
 
 

@@ -8,7 +8,8 @@ from those closures; value_at and boundary_rows take the field as their
 first argument.  lift_axial added one Multivector.blade, times the
 embedded u for the e-carrying blades, per nonzero reduced blade.
 _poly_radial_coeffs computed both polynomial profiles in one call.  The
-tests hold the library to this module bit for bit.
+products are product_reference's blade loop, the product of that time.
+The tests hold the library to this module bit for bit.
 """
 
 from typing import Callable
@@ -26,6 +27,7 @@ from biaxial.planewave import (
 )
 from biaxial.quadrature import sphere_area
 from probe_reference import batch_vector_mv
+from product_reference import product
 
 
 def value_at(field: AxialField, pt: BiaxialPoint) -> Multivector:
@@ -34,7 +36,7 @@ def value_at(field: AxialField, pt: BiaxialPoint) -> Multivector:
     a = field.A(pt.r, pt.y)
     if pt.r == 0.0:
         return a
-    return a + pt.embed_unit_x() * field.B(pt.r, pt.y)
+    return a + product(pt.embed_unit_x(), field.B(pt.r, pt.y))
 
 
 def boundary_rows(field: AxialField, eta: np.ndarray) -> np.ndarray:
@@ -209,5 +211,5 @@ def lift_axial(mv: Multivector, u: np.ndarray, p: int, q: int) -> Multivector:
     for mask in np.flatnonzero(mv.coeffs):
         mask = int(mask)
         big = Multivector.blade(dim, (mask >> 1) << p, mv.coeffs[mask])
-        out = out + (u_mv * big if mask & 1 else big)
+        out = out + (product(u_mv, big) if mask & 1 else big)
     return out

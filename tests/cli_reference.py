@@ -2,25 +2,26 @@
 
 These are the per-sample loops the batched library code replaced, kept
 unchanged: the scalar SplitMix64.uniform_array, the per-pair geometric
-product (with the sign table and vector constructor it used), the kernel
-suite's one oracle call per y, funk_hecke_check building its rules on
-every call, and the three verify suites written against them.  The kernel
-suite calls the library's kernel_I_oracle one y at a time, so it holds the
-CLI's stacked-y call to single-y calls.  The tests hold biaxial.cli's
-suites to these references bit for bit.
+product (product_reference's blade loop, with the vector constructor and
+interior/exterior split it used), the kernel suite's one oracle call per
+y, funk_hecke_check building its rules on every call, and the three verify
+suites written against them.  The kernel suite calls the library's
+kernel_I_oracle one y at a time, so it holds the CLI's stacked-y call to
+single-y calls.  The tests hold biaxial.cli's kernel and Funk-Hecke suites
+to these references bit for bit, and its algebra suite, whose products now
+go through the matrix representation, to rounding.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from biaxial import algebra, rng
-from biaxial.algebra import vector_exterior, vector_interior
 from biaxial.cauchy import KernelParams, kernel_I_closed, kernel_I_oracle
 from biaxial.cli import _PSI_BATTERY, ConfigError, RunConfig, _check, _rel
 from biaxial.quadrature import _harmonic, gauss_jacobi_rule, sphere_area, sphere_rule
 from biaxial.special import gegenbauer_normalized
+from product_reference import _vector_product_parts, product
 
 
 class SplitMix64(rng.SplitMix64):
@@ -30,34 +31,8 @@ class SplitMix64(rng.SplitMix64):
         return np.array([self.uniform(lo, hi) for _ in range(n)])
 
 
-@lru_cache(maxsize=None)
-def _blade_tables(dim: int):
-    """Sign table of blade products (2^dim x 2^dim, int8) and blade grades.
-
-    sign[a, b] is the sign of e_A e_B relative to the canonical blade
-    e_{A xor B}: count the generator transpositions needed to merge the
-    two factor lists, then flip once more per shared generator since
-    e_i^2 = -1.
-    """
-    size = 1 << dim
-    idx = np.arange(size)
-    grades = np.zeros(size, dtype=np.int64)
-    for bit in range(dim):
-        grades += (idx >> bit) & 1
-    swaps = np.zeros((size, size), dtype=np.int64)
-    shifted = idx[:, None] >> 1
-    while shifted.any():
-        swaps += grades[shifted & idx[None, :]]
-        shifted = shifted >> 1
-    swaps += grades[idx[:, None] & idx[None, :]]
-    sign = np.where(swaps % 2 == 0, 1, -1).astype(np.int8)
-    sign.setflags(write=False)
-    grades.setflags(write=False)
-    return sign, grades
-
-
 class Multivector(algebra.Multivector):
-    """The library Multivector with the per-pair product."""
+    """The library Multivector with the blade-loop product."""
 
     @classmethod
     def vector(cls, dim: int, components) -> "Multivector":
@@ -72,20 +47,8 @@ class Multivector(algebra.Multivector):
 
     def __mul__(self, other):
         if isinstance(other, algebra.Multivector):
-            return _geometric_product(self, other)
+            return Multivector._wrap(self.dim, product(self, other).coeffs)
         return Multivector._wrap(self.dim, self.coeffs * complex(other))
-
-
-def _geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    a._check_same(b)
-    sign, _ = _blade_tables(a.dim)
-    size = 1 << a.dim
-    idx = np.arange(size)
-    out = np.zeros(size, dtype=np.complex128)
-    bc = b.coeffs
-    for i in np.flatnonzero(a.coeffs):
-        out[i ^ idx] += (a.coeffs[i] * sign[i]) * bc
-    return Multivector._wrap(a.dim, out)
 
 
 class BiaxialPoint(algebra.BiaxialPoint):
@@ -133,7 +96,7 @@ def _suite_algebra(cfg: RunConfig):
     for _ in range(200):
         x = Multivector.vector(dim, rng.complex_coeffs(dim))
         a = Multivector(dim, rng.complex_coeffs(1 << dim))
-        worst = max(worst, _rel(vector_interior(x, a) + vector_exterior(x, a), x * a))
+        worst = max(worst, _rel(Multivector(dim, np.add(*_vector_product_parts(x, a))), x * a))
     checks.append(_check("interior_plus_exterior", worst, 1e-12))
     worst = 0.0
     for _ in range(100):

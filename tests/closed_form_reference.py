@@ -5,8 +5,9 @@ profiles by hand, and ck_bessel_form summed its own Bessel-J series.
 They are copied unchanged from the code before each became one value_at
 call on its axial pair (ck_bessel_form: the exponential wave);
 radialize_poly computes its coefficients with axial_reference's copy of
-the former _poly_radial_coeffs.  The tests hold the library to these
-references.
+the former _poly_radial_coeffs.  Their products go through
+product_reference's blade loop, the product of that time.  The tests hold
+the library to these references.
 """
 
 import cmath
@@ -19,6 +20,7 @@ from biaxial.algebra import BiaxialPoint, Multivector, embed_vector
 from biaxial.fields import _unit
 from biaxial.planewave import MAX_POLY_DEGREE, _exp_profile, _fourier_profile
 from biaxial.special import BESSEL_J_MAX_ARG, gamma_fn
+from product_reference import product
 
 _TERM_EPS = 1e-16
 _MAX_TERMS = 500
@@ -37,7 +39,7 @@ def hpw_exp_closed(pt: BiaxialPoint, s) -> Multivector:
     c, d = _exp_profile(pt.p, pt.r, 0), _exp_profile(pt.p, pt.r, 1)
     out = Multivector.scalar(dim, c * phase)
     if pt.r > 0.0:
-        es = pt.embed_unit_x() * embed_vector(dim, pt.p, s)
+        es = product(pt.embed_unit_x(), embed_vector(dim, pt.p, s))
         out = out + (d * phase) * es
     return out
 
@@ -85,7 +87,7 @@ def ck_bessel_form(pt: BiaxialPoint, s) -> Multivector:
         if max(abs(term1), abs(term2)) < _TERM_EPS * max(abs(s1), abs(s2), 1e-300):
             break
     phase = math.exp(float(np.dot(pt.y, s)))
-    xs = pt.embed_x() * embed_vector(dim, p, s)
+    xs = product(pt.embed_x(), embed_vector(dim, p, s))
     value = Multivector.scalar(dim, s1) + 0.5 * s2 * xs
     return gamma_fn(half_p) * phase * value
 

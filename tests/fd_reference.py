@@ -4,14 +4,16 @@ dirac_apply_fd, vekua_residual and modified_dirac_residual each had their
 own central-difference loop, step check and axis guard; the library now
 runs all three through one rule.  dirac_apply_fd moved its point with the
 BiaxialPoint.shifted method, which was deleted with it; shifted is copied
-here as a function and is the only edit.  The tests hold the library to
-this module bit for bit.
+here as a function, and the products by e_i go through product_reference's
+blade loop, the product of that time.  The tests hold the library to this
+module bit for bit.
 """
 
 import numpy as np
 
 from biaxial.algebra import BiaxialPoint, Multivector, vector_interior
 from biaxial.fields import FD_STEP_MAX, FD_STEP_MIN, AxialField
+from product_reference import product
 
 
 def _check_step(h: float) -> None:
@@ -41,7 +43,7 @@ def dirac_apply_fd(f, pt: BiaxialPoint, h: float = 1e-4) -> Multivector:
     acc = Multivector.zero(dim)
     for i in range(dim):
         diff = f(shifted(pt, i, h)) - f(shifted(pt, i, -h))
-        acc = acc + Multivector.basis_vector(dim, i + 1) * (diff / (2.0 * h))
+        acc = acc + product(Multivector.basis_vector(dim, i + 1), diff / (2.0 * h))
     return acc
 
 
@@ -65,7 +67,7 @@ def vekua_residual(field: AxialField, r: float, y: np.ndarray, h: float = 1e-4):
             step = np.zeros(q)
             step[i] = h
             diff = g(r, y + step) - g(r, y - step)
-            acc = acc + Multivector.basis_vector(dim, p + i + 1) * (diff / (2.0 * h))
+            acc = acc + product(Multivector.basis_vector(dim, p + i + 1), diff / (2.0 * h))
         return acc
 
     def dr(g):
@@ -91,10 +93,10 @@ def modified_dirac_residual(f, p: int, q: int, r: float, y: np.ndarray,
     dim = q + 1
     e_mv = Multivector.basis_vector(dim, 1)
     drf = (f(r + h, y) - f(r - h, y)) / (2.0 * h)
-    acc = e_mv * drf
+    acc = product(e_mv, drf)
     for i in range(q):
         step = np.zeros(q)
         step[i] = h
         diff = f(r, y + step) - f(r, y - step)
-        acc = acc + Multivector.basis_vector(dim, i + 2) * (diff / (2.0 * h))
+        acc = acc + product(Multivector.basis_vector(dim, i + 2), diff / (2.0 * h))
     return acc + ((p - 1.0) / r) * vector_interior(e_mv, f(r, y))

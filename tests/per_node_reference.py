@@ -3,10 +3,10 @@ the full-sphere Cauchy sum.
 
 These are the straightforward loops the batched library code replaced:
 one hemisphere node (or one boundary node) at a time, through the scalar
-field calls, KernelParams and the scalar kernel API.  The tests hold the
-array implementations in biaxial.cauchy to these references.  Beside them
-is the fixed 96-node Gauss-Jacobi integral that evaluated the moment Phi
-before its closed form.
+field calls, KernelParams and the scalar kernel API, with products from
+product_reference's blade loop.  The tests hold the array implementations
+in biaxial.cauchy to these references.  Beside them is the fixed 96-node
+Gauss-Jacobi integral that evaluated the moment Phi before its closed form.
 """
 
 import math
@@ -17,6 +17,7 @@ from biaxial.algebra import Multivector, embed_vector
 from biaxial.cauchy import KernelParams, kernel_I_closed, kernel_phi
 from biaxial.quadrature import gauss_jacobi_rule, sphere_area
 from probe_reference import batch_vector_mv
+from product_reference import product
 
 PHI_NODES = 96
 
@@ -39,17 +40,17 @@ def reconstruct_ab_variants_per_node(field, pt, hrule):
             nu_mv = embed_vector(dim, p, nu)
             kp = KernelParams(p, q, r, pt.y, theta, nu)
             kern_i = kernel_I_closed(kp)
-            nu_a = nu_mv * a_b
+            nu_a = product(nu_mv, a_b)
             core = s * nu_a - c * b_b
-            acc["A_full"] += (w * kern_i) * (a_b + y_mv * core).coeffs
+            acc["A_full"] += (w * kern_i) * (a_b + product(y_mv, core)).coeffs
             acc["B_full"] += (w * kern_i * r) * core.coeffs
             acc["B_printed"] += (w * kern_i * r * s) * nu_a.coeffs
             phi = kernel_phi(kp)
             if phi != 0.0:
-                nu_b = nu_mv * b_b
+                nu_b = product(nu_mv, b_b)
                 acc["A_corr"] += (w * phi * r) * (s * nu_b - c * a_b).coeffs
                 acc["B_corr"] += (w * phi) * (
-                    b_b + s * (y_mv * nu_b) - c * (y_mv * a_b)
+                    b_b + s * product(y_mv, nu_b) - c * product(y_mv, a_b)
                 ).coeffs
     lam = sphere_area(dim)
     for key in acc:

@@ -5,16 +5,18 @@ The series ran its whole-array convergence test after every term; the
 batch gathered all 2^dim blade columns once per generator; the evaluation
 summed each node's squared distance with np.add.reduce over its row.  The
 reference evaluation uses this module's own batch_vector_mv, so it pins
-the distance change independently of the live-column gather.  The tests
-hold the new code to these references bit for bit.
+the distance change independently of the live-column gather.  Its sign
+table is product_reference's.  The tests hold the new code to these
+references bit for bit.
 """
 
 import numpy as np
 
-from biaxial.algebra import Multivector, _blade_tables
+from biaxial.algebra import Multivector
 from biaxial.cauchy import _MIN_BOUNDARY_DISTANCE, _check_interior
 from biaxial.quadrature import sphere_area
 from biaxial.special import _MAX_TERMS, _TERM_EPS, ConvergenceError
+from product_reference import _blade_tables
 
 
 def hyp2f1_series(a: float, b: float, c: float, z) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The CK extension (ck_extend, eval_series over HypermonogenicSeries) and the
 plane-wave evaluator (eval_planewave) are copied unchanged from the code
-before the merge into one (C_j, D_j) engine in biaxial.fields.  The tests
-hold the merged engine to these references.
+before the merge into one (C_j, D_j) engine in biaxial.fields, their x s
+through product_reference's blade loop, the product of that time.  The
+tests hold the merged engine to these references.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ import numpy as np
 from biaxial.algebra import BiaxialPoint, Multivector, embed_vector
 from biaxial.fields import ExpLinear, PlaneWaveSeries, _unit, beta
 from biaxial.special import ConvergenceError
+from product_reference import product
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ def eval_series(series: HypermonogenicSeries, pt: BiaxialPoint, tail_tol: float 
     r = pt.r
     s_mv = embed_vector(dim, series.p, series.s)
     x_mv = pt.embed_x()
-    xs_mv = x_mv * s_mv
+    xs_mv = product(x_mv, s_mv)
     acc = np.zeros(1 << dim, dtype=np.complex128)
     tail = 0.0
     for j, (profile, has_s) in enumerate(zip(series.profiles, series.vector_flags)):
@@ -124,7 +126,7 @@ def eval_planewave(series: PlaneWaveSeries, pt: BiaxialPoint, tail_tol: float = 
     r = pt.r
     s_mv = embed_vector(dim, series.p, series.s)
     x_mv = pt.embed_x()
-    xs_mv = x_mv * s_mv
+    xs_mv = product(x_mv, s_mv)
     acc = np.zeros(1 << dim, dtype=np.complex128)
     tail = 0.0
     for j, (cj, dj) in enumerate(zip(series.C, series.D)):

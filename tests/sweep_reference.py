@@ -1,7 +1,8 @@
 """The hemisphere sweep that biaxial.cauchy replaced, kept verbatim: it calls
 field.A/field.B and gathers their live columns on every node block at every
 point.  The tests require the stored sweep to give the same values bit for
-bit.  The kernels and the block size come from the library, as they did.
+bit.  The kernels and the block size come from the library, as they did;
+the geometric products are product_reference's blade loop, as they were.
 """
 
 import math
@@ -9,9 +10,10 @@ import math
 import numpy as np
 
 from biaxial import cauchy
-from biaxial.algebra import Multivector, batch_product
+from biaxial.algebra import Multivector
 from biaxial.cauchy import _check_interior, _kernel_I, _kernel_phi
 from biaxial.quadrature import sphere_area
+from product_reference import batch_product, product
 
 
 def _node_geometry(r, y, theta, nu):
@@ -75,7 +77,7 @@ def reconstruct_ab_variants(field, pt, hrule):
     core = nu_a - mom[1, 1]
     odd = nu_b - mom[0, 1]
     y_mv = pt.embed_y_vector(pt.y)
-    y_core, y_odd = ((y_mv * Multivector._wrap(dim, v)).coeffs for v in (core, odd))
+    y_core, y_odd = (product(y_mv, Multivector._wrap(dim, v)).coeffs for v in (core, odd))
     a_full = Multivector(dim, mom[0, 0] + y_core)
     return {
         "full": (a_full, Multivector(dim, r * core)),

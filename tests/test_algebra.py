@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,16 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import cli_reference as ref
 import probe_reference
+import product_reference as ref
 from biaxial.algebra import (
+    MAX_DIM,
     BiaxialPoint,
     Multivector,
+    _matrix_tables,
+    _vector_product_parts,
     batch_product,
+    batch_vector_product,
     blade_grades,
     blade_name,
     vector_exterior,
     vector_interior,
+    vector_product,
 )
 from biaxial.rng import SplitMix64
 
@@ -181,9 +187,8 @@ def test_batch_vector_mv_matches_scalar_path():
     comps = np.array([rng.uniform_array(dim, -1, 1) for _ in range(n)])
     mats = np.array([rng.complex_coeffs(1 << dim) for _ in range(n)])
     # batch_vector_mv, the deleted vector-times-multivector kernel, lives on
-    # in probe_reference; batch_product on generator rows gives its bytes.
-    vectors = np.stack([Multivector.vector(dim, c).coeffs for c in comps])
-    out = batch_product(vectors, mats, dim)
+    # in probe_reference; batch_vector_product gives its bytes.
+    out = batch_vector_product(comps, mats, dim)
     assert out.tobytes() == probe_reference.batch_vector_mv(comps, mats, dim).tobytes()
     for row in range(n):
         direct = Multivector.vector(dim, comps[row]) * Multivector(dim, mats[row])
@@ -208,17 +213,102 @@ def product_batches(draw):
     return dim, a, b
 
 
+def _close_to_loop(got, a, b, dim):
+    """got meets the blade-loop product of the rows a, b to 1e-14 of the
+    rows' scale sum |a_n| max |b_n|, which bounds every coefficient."""
+    want = ref.batch_product(a, b, dim)
+    scale = np.sum(np.abs(a), axis=1) * np.max(np.abs(b), axis=1)
+    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-14 * scale)
+
+
 @settings(max_examples=80, deadline=None)
 @given(product_batches())
 def test_batch_product_rows_are_the_per_pair_product(batch):
     dim, a, b = batch
     out = batch_product(a, b, dim)
     assert out.shape == a.shape and out.dtype == np.complex128
+    _close_to_loop(out, a, b, dim)
     for n in range(a.shape[0]):
-        want = ref._geometric_product(ref.Multivector(dim, a[n]), ref.Multivector(dim, b[n]))
-        assert out[n].tobytes() == want.coeffs.tobytes()
         one_row = Multivector(dim, a[n]) * Multivector(dim, b[n])
-        assert one_row.coeffs.tobytes() == want.coeffs.tobytes()
+        assert one_row.coeffs.tobytes() == out[n].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 10), n=st.integers(1, 3), data=st.data())
+def test_matrix_product_meets_the_blade_loop(dim, n, data):
+    part = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+    a, b = (data.draw(arrays(np.float64, (n, 1 << dim), elements=part))
+            + 1j * data.draw(arrays(np.float64, (n, 1 << dim), elements=part)) for _ in range(2))
+    _close_to_loop(batch_product(a, b, dim), a, b, dim)
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+@pytest.mark.parametrize("rows", [1, 2, 7, 20, 37])
+def test_batch_product_row_is_the_one_row_product_for_any_batch(dim, rows):
+    rng = np.random.default_rng(rows * 100 + dim)
+    a, b = (rng.standard_normal((rows, 1 << dim)) + 1j * rng.standard_normal((rows, 1 << dim))
+            for _ in range(2))
+    out = batch_product(a, b, dim)
+    for n in range(rows):
+        one_row = Multivector(dim, a[n]) * Multivector(dim, b[n])
+        assert one_row.coeffs.tobytes() == out[n].tobytes()
+
+
+def test_generators_anticommute_at_the_largest_dim():
+    _matrix_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        e(MAX_DIM, 1) * e(MAX_DIM, MAX_DIM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    for i in range(1, MAX_DIM + 1):
+        for j in range(i, MAX_DIM + 1):
+            anti = e(MAX_DIM, i) * e(MAX_DIM, j) + e(MAX_DIM, j) * e(MAX_DIM, i)
+            expected = Multivector.scalar(MAX_DIM, -2.0 if i == j else 0.0)
+            assert np.array_equal(anti.coeffs, expected.coeffs), (i, j)
+
+
+@st.composite
+def vector_factors(draw):
+    """(dim, x, b): N rows of vector components, with some components zero
+    in every row and some rows zero, and N coefficient rows with -0.0 parts."""
+    dim = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 4))
+    part = st.floats(-4.0, 4.0, allow_subnormal=False) | st.just(-0.0)
+    x = (draw(arrays(np.float64, (n, dim), elements=part))
+         + 1j * draw(arrays(np.float64, (n, dim), elements=part)))
+    x[:, draw(arrays(np.bool_, dim))] = 0.0
+    x[draw(arrays(np.bool_, n))] = 0.0
+    # Real and imaginary parts side by side, so a -0.0 part survives.
+    b = draw(arrays(np.float64, (n, 1 << dim, 2), elements=part)).view(np.complex128)[..., 0]
+    return dim, x, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(vector_factors())
+def test_vector_product_is_the_blade_loop_bit_for_bit(case):
+    dim, x, b = case
+    rows = np.zeros((x.shape[0], 1 << dim), dtype=np.complex128)
+    rows[:, 1 << np.arange(dim)] = x
+    assert batch_vector_product(x, b, dim).tobytes() == ref.batch_product(rows, b, dim).tobytes()
+    for n in range(x.shape[0]):
+        xv, bv = Multivector.vector(dim, x[n]), Multivector(dim, b[n])
+        assert vector_product(xv, bv).coeffs.tobytes() == ref.product(xv, bv).coeffs.tobytes()
+        got, want = _vector_product_parts(xv, bv), ref._vector_product_parts(xv, bv)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_vector_product_refuses_a_non_vector_and_other_dims():
+    with pytest.raises(ValueError, match="pure grade-1"):
+        vector_product(Multivector.scalar(3, 1.0) + e(3, 1), e(3, 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        vector_product(e(3, 1), e(4, 1))
+    with pytest.raises(ValueError, match="inconsistent batch shapes"):
+        batch_vector_product(np.zeros((2, 3)), np.zeros((2, 16)), 4)
+    with pytest.raises(ValueError, match="inconsistent batch shapes"):
+        batch_vector_product(np.zeros((2, 4)), np.zeros((3, 16)), 4)
 
 
 def test_batch_product_rejects_mismatched_rows():

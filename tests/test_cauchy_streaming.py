@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaxial import cauchy
 from biaxial.algebra import BiaxialPoint
 from biaxial.cauchy import FullBallCauchy, kernel_I_oracle
 from biaxial.fields import constant_field, linear_monogenic_field
@@ -68,34 +67,28 @@ def test_streamed_oracle_equals_one_pass(case):
     assert np.all(np.abs(np.subtract(got, expected)) <= 1e-13 * np.abs(expected))
 
 
-@pytest.mark.parametrize("res,block", [(8, 37), (70, None)])
+@pytest.mark.parametrize("res", [8, 70])
 @pytest.mark.parametrize("where", [0, 1, 2, None])
-def test_near_singular_node_in_last_partial_block_raises_without_warning(res, block, where):
+def test_exact_hit_node_raises_named_error_without_warning(res, where):
     # x + y = c w + s nu at the rule's last node w, so that node's distance
-    # is exactly 0; every node of the earlier blocks is well away from it.
+    # is exactly 0; it is the only node at distance 0.
     p, q, theta = 3, 2, 0.6
     rule = sphere_rule(p, res)
-    n = rule.points.shape[0]
-    size = block or cauchy._NODE_BLOCK
-    assert n % size != 0
     c, s = math.cos(theta), math.sin(theta)
     x = c * rule.points[-1]
     nu = np.array([0.6, 0.8])
     fine = np.array([-0.2, 0.1])
-    assert c * np.min(np.linalg.norm(rule.points[:n - n % size] - rule.points[-1], axis=1)) > 0.05
+    assert c * np.min(np.linalg.norm(rule.points[:-1] - rule.points[-1], axis=1)) > 0.0
     bad = s * nu
     y = bad if where is None else np.array([bad if i == where else fine for i in range(3)])
     with pytest.raises(ValueError, match="near-singular") as expected:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reference.kernel_I_oracle(x, y, theta, nu, rule)
-    with pytest.MonkeyPatch.context() as mp:
-        if block is not None:
-            mp.setattr(cauchy, "_NODE_BLOCK", block)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="near-singular") as got:
-                kernel_I_oracle(x, y, theta, nu, rule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="near-singular") as got:
+            kernel_I_oracle(x, y, theta, nu, rule)
     assert str(got.value) == str(expected.value)
 
 

@@ -2,8 +2,13 @@
 
 cli_reference.py holds the former algebra, kernel and Funk-Hecke suites
 with the scalar generator, the per-pair product, one oracle call per y and
-the per-call Funk-Hecke rules.  Every measured value must come out bit
-for bit, so the suites' reports stay byte-identical.
+the per-call Funk-Hecke rules.  Every kernel and Funk-Hecke value must come
+out bit for bit, so those reports stay byte-identical.  The algebra suite
+measures relative errors of products; the library's general product now
+goes through the matrix representation and the reference's through the
+blade loop, so its values are held within 1e-14 of the reference, the
+rounding of unit-scale products, with names, tolerances and pass flags
+exact.
 """
 
 import pytest
@@ -30,4 +35,9 @@ def test_suite_matches_per_sample_reference(suite, p, q, seed):
     rows = cli._SUITE_RUNNERS[suite](cfg, SplitMix64(cfg.seed))
     got = [cli._check(*row) for row in rows]
     want = ref.SUITES[suite](cfg)
-    assert bits(got) == bits(want)
+    if suite != "algebra":
+        assert bits(got) == bits(want)
+        return
+    assert [{**c, "measured": None} for c in got] == [{**c, "measured": None} for c in want]
+    for g, w in zip(got, want):
+        assert abs(g["measured"] - w["measured"]) <= 1e-14

@@ -1,6 +1,8 @@
-"""The probed 2F1 series against the code it replaced, and batch_product
-on vector rows against batch_vector_mv, the deleted vector-times-multivector
-kernel (both kept in tests/probe_reference.py), bit for bit."""
+"""The probed 2F1 series against the code it replaced, and the vector-left
+product against batch_vector_mv, the deleted vector-times-multivector
+kernel (both kept in tests/probe_reference.py), bit for bit.  The general
+product on the same vector rows goes through the matrix representation and
+meets batch_vector_mv to rounding."""
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from biaxial.algebra import batch_product
+from biaxial.algebra import batch_product, batch_vector_product
 from biaxial.special import _MAX_TERMS, _TERM_EPS, _hyp2f1_series
 
 import probe_reference as reference
@@ -78,11 +80,18 @@ def _complex(rng, shape):
 
 
 def _vector_product(comps, mats, dim):
-    """v_n M_n for the rows n of comps (N, dim) and mats (N, 2^dim), through
-    batch_product on the generator coefficient rows of comps."""
+    """v_n M_n for the rows n of comps (N, dim) and mats (N, 2^dim)."""
+    return batch_vector_product(comps, mats, dim)
+
+
+def _close(comps, mats, dim, want):
+    """batch_product on the generator coefficient rows of comps meets want
+    to 1e-14 of sum |v_n| max |M_n|, which bounds every coefficient of v_n M_n."""
     rows = np.zeros((comps.shape[0], 1 << dim))
     rows[:, 1 << np.arange(dim)] = comps
-    return batch_product(rows, mats, dim)
+    scale = np.sum(np.abs(comps), axis=1) * np.max(np.abs(mats), axis=1)
+    err = np.max(np.abs(batch_product(rows, mats, dim) - want), axis=1)
+    assert np.all(err <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 5, 8])
@@ -91,7 +100,9 @@ def test_batch_vector_mv_equals_the_full_gather_on_dense_rows(dim, rows):
     rng = np.random.default_rng(dim * 10 + rows)
     comps = rng.standard_normal((rows, dim))
     mats = _complex(rng, (rows, 1 << dim))
-    _same(_vector_product(comps, mats, dim), reference.batch_vector_mv(comps, mats, dim))
+    want = reference.batch_vector_mv(comps, mats, dim)
+    _same(_vector_product(comps, mats, dim), want)
+    _close(comps, mats, dim, want)
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 8])
@@ -147,4 +158,6 @@ def vector_batches(draw):
 @given(vector_batches())
 def test_batch_product_on_vector_rows_equals_batch_vector_mv(batch):
     dim, comps, mats = batch
-    _same(_vector_product(comps, mats, dim), reference.batch_vector_mv(comps, mats, dim))
+    want = reference.batch_vector_mv(comps, mats, dim)
+    _same(_vector_product(comps, mats, dim), want)
+    _close(comps, mats, dim, want)
