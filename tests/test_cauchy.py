@@ -11,6 +11,7 @@ from biaxial.algebra import BiaxialPoint, Multivector
 from biaxial.cauchy import (
     FullBallCauchy,
     KernelParams,
+    _inverse_half_power,
     kernel_I_closed,
     kernel_I_oracle,
     kernel_phi,
@@ -116,6 +117,11 @@ def test_kernel_oracle_stack_returns_the_per_y_floats(p, q):
     assert kernel_I_oracle(x, ys[:1], 0.8, nu, rule).tobytes() == stacked[:1].tobytes()
 
 
+def test_kernel_oracle_empty_stack_gives_an_empty_array():
+    got = kernel_I_oracle(0.3 * S2, np.zeros((0, 2)), 0.8, NU, sphere_rule(2, 16))
+    assert got.shape == (0,) and got.dtype == np.float64
+
+
 def test_kernel_oracle_stack_keeps_the_singular_and_rule_checks():
     # At theta = pi/2 and x = 0 the integrand is singular where y = nu.
     rule = sphere_rule(2, 16)
@@ -130,6 +136,19 @@ def test_kernel_oracle_stack_keeps_the_singular_and_rule_checks():
     for y in (fine, np.array([fine, fine])):
         with pytest.raises(ValueError, match="oracle rule must live on S"):
             kernel_I_oracle(np.zeros(3), y, 0.4, NU, rule)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_inverse_half_power_ladder_matches_mpmath(m):
+    # Squared distances from the refused 0.05^2 up to 10, geometric, with
+    # both ends and the exact powers of two in between.
+    d = np.concatenate([np.geomspace(0.0025, 10.0, 397), [0.125, 0.5, 1.0, 2.0, 8.0]])
+    work = np.full_like(d, np.nan)
+    got = _inverse_half_power(d.copy(), m, work)
+    with mpmath.workdps(40):
+        exact = [mpmath.mpf(float(v)) ** (-mpmath.mpf(m) / 2) for v in d]
+        err = max(abs((mpmath.mpf(float(g)) - e) / e) for g, e in zip(got, exact))
+    assert float(err) <= m * np.finfo(np.float64).eps
 
 
 @pytest.mark.parametrize("p,res", [(2, 64), (3, 16), (4, 8)])

@@ -1,4 +1,4 @@
-"""The whole-rule kernel_I_oracle against the one-pass code it replaced and
+"""The node-block kernel_I_oracle against the one-pass code it replaced and
 the live-column FullBallCauchy.evaluate against the complex products it
 replaced, both to rounding."""
 
@@ -8,11 +8,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biaxial.algebra import BiaxialPoint
-from biaxial.cauchy import FullBallCauchy, kernel_I_oracle
+from biaxial.cauchy import _ORACLE_BLOCK, FullBallCauchy, kernel_I_oracle
 from biaxial.fields import constant_field, linear_monogenic_field
 from biaxial.planewave import exp_hpw_axial_field
 from biaxial.quadrature import sphere_rule
@@ -22,8 +22,9 @@ import one_pass_reference as reference
 import probe_reference
 
 # sphere_rule(p, res) has res^(p-1) nodes: a coarse, a medium and a fine
-# rule per p, up to 5,000 nodes.
-RESOLUTIONS = {2: (64, 4096, 5000), 3: (20, 64, 70), 4: (8, 16, 17), 5: (5, 8, 9)}
+# rule per p, up to 5,000 nodes, and for p = 3 a rule of 22,500 nodes that
+# fills one oracle block and part of a second.
+RESOLUTIONS = {2: (64, 4096, 5000), 3: (20, 64, 70, 150), 4: (8, 16, 17), 5: (5, 8, 9)}
 
 
 @lru_cache(maxsize=None)
@@ -51,8 +52,17 @@ def oracle_cases(draw):
     return x, ys[0] if k == 0 else ys, theta, nu, _rule(p, res)
 
 
+def test_the_largest_rule_ends_in_a_partial_oracle_block():
+    n = _rule(3, 150).weights.size
+    assert _ORACLE_BLOCK < n < 2 * _ORACLE_BLOCK
+
+
 @settings(max_examples=120, deadline=None)
 @given(case=oracle_cases())
+@example(case=(np.array([0.3, -0.2, 0.1]), np.array([[0.1, -0.05], [0.0, 0.15], [-0.1, 0.0]]),
+               0.7, np.array([0.6, 0.8]), _rule(3, 150)))
+@example(case=(np.array([0.0, 0.5, 0.0]), np.array([0.05, 0.1]), 1.2, np.array([0.0, 1.0]),
+               _rule(3, 150)))
 def test_streamed_oracle_equals_one_pass(case):
     # The oracle expands |x - c omega|^2 = |x|^2 + c^2 - 2c <x, omega>, so
     # it meets the reference's direct squares to rounding (below 4e-15
@@ -64,21 +74,29 @@ def test_streamed_oracle_equals_one_pass(case):
         assert isinstance(got, float)
     else:
         assert got.shape == (y.shape[0],) and got.dtype == np.float64
+        singles = [kernel_I_oracle(x, row, theta, nu, rule) for row in y]
+        assert got.tobytes() == np.array(singles).tobytes()
     assert np.all(np.abs(np.subtract(got, expected)) <= 1e-13 * np.abs(expected))
 
 
-@pytest.mark.parametrize("res", [8, 70])
+@pytest.mark.parametrize("res,hit", [(8, -1), (70, -1), (150, 0), (150, -1)],
+                         ids=["8", "70", "150-first", "150-last"])
 @pytest.mark.parametrize("where", [0, 1, 2, None])
-def test_exact_hit_node_raises_named_error_without_warning(res, where):
-    # x + y = c w + s nu at the rule's last node w, so that node's distance
-    # is exactly 0; it is the only node at distance 0.
+def test_exact_hit_node_raises_named_error_without_warning(res, hit, where):
+    # x + y = c w + s nu at the rule's first or last node w, so that node's
+    # distance is exactly 0; it is the only node at distance 0.  At res 150
+    # every node closer than the refused distance lies in the hit's block:
+    # the first block, or the last, partial one.
     p, q, theta = 3, 2, 0.6
     rule = sphere_rule(p, res)
     c, s = math.cos(theta), math.sin(theta)
-    x = c * rule.points[-1]
+    x = c * rule.points[hit]
     nu = np.array([0.6, 0.8])
     fine = np.array([-0.2, 0.1])
-    assert c * np.min(np.linalg.norm(rule.points[:-1] - rule.points[-1], axis=1)) > 0.0
+    dist = c * np.linalg.norm(rule.points - rule.points[hit], axis=1)
+    assert np.count_nonzero(dist == 0.0) == 1
+    near_blocks = np.flatnonzero(dist < 0.05) // _ORACLE_BLOCK
+    assert np.all(near_blocks == (rule.weights.size - 1 if hit else 0) // _ORACLE_BLOCK)
     bad = s * nu
     y = bad if where is None else np.array([bad if i == where else fine for i in range(3)])
     with pytest.raises(ValueError, match="near-singular") as expected:

@@ -62,6 +62,24 @@ def test_nan_inside_a_documented_limit_raises_naming_it(case):
         call()
 
 
+ORACLE_NODE_CASES = {
+    "nu longer than y": ((np.array([0.1]), 0.3, np.array([0.6, 0.8, 0.0])),
+                         "nu must have the shape (1,) of y's last axis, got (3,)"),
+    "|nu| = 2": ((Y, 0.3, np.array([2.0, 0.0])), "|nu| of the unit vector nu must lie in"),
+    "theta past pi/2": ((Y, 2.5, NU), "theta must lie in [0, 1.57"),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_NODE_CASES)
+def test_kernel_oracle_refuses_the_nodes_kernel_params_refuses(case):
+    (y, theta, nu), message = ORACLE_NODE_CASES[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kernel_I_oracle(np.array([0.2, 0.0]), y, theta, nu, sphere_rule(2, 16))
+    if nu.shape == y.shape:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            KernelParams(2, 2, 0.2, y, theta, nu)
+
+
 @pytest.mark.parametrize("value", [0, 1.0, np.float64(0.5), np.array([0.0, 0.5, 1.0]),
                                    np.array(1.0), np.array([], dtype=float)])
 def test_check_range_admits_both_ends(value):
