@@ -7,12 +7,13 @@
 import numpy as np
 
 from biaxial.algebra import BiaxialPoint
-from biaxial.fields import dirac_apply_fd, eval_series, series_axial_parts
+from biaxial.fields import dirac_apply_fd, eval_series
 from biaxial.planewave import (
     exp_coeffs_closed,
     exp_hpw_series,
     hpw_exp_closed,
 )
+from biaxial.special import ConvergenceError
 
 p, q = 3, 2
 s = np.array([1.0, 0.0])
@@ -52,8 +53,14 @@ for h in (1e-3, 5e-4):
     print(f"operator residual at h={h:g}: {res.norm_inf:.3e}")
 print()
 
-# Axial split into the even part A and the odd part B, and back.
-a_part, b_part = series_axial_parts(series, pt.r, pt.y)
-assembled = a_part + pt.embed_unit_x() * b_part
-direct = eval_series(series, pt)[0]
-print(f"axial split round-trip gap: {(assembled - direct).norm_inf:.3e}")
+# The evaluator sums the even terms into A and the odd terms into B and
+# reports the last stored term's largest coefficient as its tail; a series
+# cut too short is refused, not returned.
+closed = hpw_exp_closed(pt, s)
+for J in (10, 20, 40):
+    try:
+        value, tail = eval_series(exp_hpw_series(p, q, s, J=J), pt)
+    except ConvergenceError as exc:
+        print(f"J={J}: {exc}")
+        continue
+    print(f"J={J}: tail {tail:.3e}, closed-vs-series {(closed - value).norm_inf:.3e}")

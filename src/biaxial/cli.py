@@ -38,8 +38,8 @@ from .fields import (
     FD_STEP_MAX,
     FD_STEP_MIN,
     MAX_TRUNCATION,
-    AxialField,
     ExpLinear,
+    _axial_value,
     ck_extend,
     constant_field,
     dirac_apply_fd,
@@ -228,7 +228,7 @@ def _reconstruction_errors(field, pt: BiaxialPoint, hrule, oracle) -> dict:
             for key in ("full", "printed", "corrected")
             for part, value in zip("AB", variants[key])}
     a_c, b_c = variants["corrected"]
-    assembled = AxialField(pt.p, pt.q, lambda r, y: a_c, lambda r, y: b_c).value_at(pt)
+    assembled = _axial_value(pt, pt.r, a_c, b_c)
     errs["err_fullball_corrected"] = (assembled - oracle.evaluate(pt)).norm_inf
     errs["printed_vs_full_B"] = (variants["full"][1] - variants["printed"][1]).norm_inf
     return errs

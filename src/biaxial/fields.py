@@ -4,9 +4,9 @@ An axial field is f(x, y) = A(|x|, y) + (x/|x|) B(|x|, y) with A, B valued
 in the y-generator subalgebra, each one scalar profile on blade 1 or s.
 The module provides those fields, the closed function class
 P(t) e^{lambda t} in t = <y, s>, the one series engine for plane waves
-sum_j x^j (C_j + s D_j) (the (C_j, D_j) recurrence, its evaluator and its
-axial split; the power-series extension of initial data f(0, y) is the
-recurrence with D_0 = 0), and the Dirac, Vekua and reduced-operator
+sum_j x^j (C_j + s D_j) (the (C_j, D_j) recurrence and its evaluator, which
+sums the axial pair; the extension of initial data f(0, y) is the recurrence
+with D_0 = 0), and the Dirac, Vekua and reduced-operator
 e d_r + d_y + ((p-1)/r) e. residuals, all by one central-difference rule.
 ck_bessel_form, the closed extension of exp(<y, s>), is
 biaxial.planewave's exponential wave.
@@ -129,12 +129,7 @@ class AxialField:
         if pt.p != self.p or pt.q != self.q:
             raise ValueError("point and field axis dimensions differ")
         r = pt.r
-        a = self.A(r, pt.y)
-        if r == 0.0:
-            return a
-        out = a.coeffs.copy()
-        _add_unit_times(out, self.B(r, pt.y).coeffs, pt.x / r, self.p, self.q)
-        return Multivector._wrap(pt.dim, out)
+        return _axial_value(pt, r, self.A(r, pt.y), self.B(r, pt.y) if r != 0.0 else None)
 
     def boundary_value(self, eta: np.ndarray):
         """Values at points of the unit sphere of R^{p+q}.
@@ -156,6 +151,18 @@ class AxialField:
         out = np.ascontiguousarray(self.A(r, y), dtype=np.complex128)
         _add_unit_times(out, self.B(r, y), unit, p, self.q)
         return Multivector(dim, out[0]) if eta.ndim == 1 else out
+
+
+def _axial_value(pt: BiaxialPoint, r: float, a: Multivector, b) -> Multivector:
+    """A + (x/|x|) B at pt, |x| = r, from the values a and b of A and B there.
+
+    On the x = 0 axis the value is a itself, and b is not read.
+    """
+    if r == 0.0:
+        return a
+    out = a.coeffs.copy()
+    _add_unit_times(out, b.coeffs, pt.x / r, pt.p, pt.q)
+    return Multivector._wrap(pt.dim, out)
 
 
 def _add_unit_times(out: np.ndarray, b: np.ndarray, unit: np.ndarray, p: int, q: int) -> None:
@@ -297,66 +304,52 @@ def ck_extend(f0: ExpLinear, p: int, q: int, J: int = 40) -> PlaneWaveSeries:
 
 
 def eval_series(series: PlaneWaveSeries, pt: BiaxialPoint):
-    """Evaluate the series at pt, realizing x^{2j} = (-1)^j |x|^{2j}.
+    """Evaluate the series at pt as its axial pair A + (x/|x|) B.
 
-    Returns (value, tail) where tail is the magnitude of the last term
-    relative to the partial sum; raises ConvergenceError when the series
-    is truncated and the tail exceeds SERIES_TAIL_TOL.
+    Returns (value, tail): tail is the largest blade coefficient of the last
+    stored term, or 0 for a terminated series.  Raises ConvergenceError when
+    tail exceeds SERIES_TAIL_TOL times max(1, largest coefficient of value).
     """
     if pt.p != series.p or pt.q != series.q:
         raise ValueError("point and series axis dimensions differ")
-    dim = pt.dim
-    t = float(np.dot(pt.y, series.s))
     r = pt.r
-    s_mv = embed_vector(dim, series.p, series.s)
-    x_mv = pt.embed_x()
-    # Term j multiplies C_j and D_j by (1, s) for even j and by (x, x s)
-    # for odd j, where x^j = (-1)^(j//2) |x|^(j-1) x.
-    bases = (
-        (Multivector.scalar(dim, 1.0).coeffs, s_mv.coeffs),
-        (x_mv.coeffs, vector_product(x_mv, s_mv).coeffs),
-    )
-    acc = np.zeros(1 << dim, dtype=np.complex128)
-    term = 0.0
-    for j, (cj, dj) in enumerate(zip(series.C, series.D)):
-        weight = (-1.0 if (j // 2) % 2 else 1.0) * r ** (j - j % 2)
-        plain, with_s = bases[j % 2]
-        # A zero half would add only signed zeros, so it is skipped.
-        term = 0.0
-        if not cj.is_zero:
-            term = (weight * cj.value(t)) * plain
-        if not dj.is_zero:
-            term = term + (weight * dj.value(t)) * with_s
-        acc += term
-    tail = 0.0 if series.terminated else float(np.max(np.abs(term)))
-    if tail > SERIES_TAIL_TOL * max(1.0, float(np.max(np.abs(acc)))):
+    a, b, tail = _series_pair(series, pt, r)
+    value = _axial_value(pt, r, a, b)
+    tail = 0.0 if series.terminated else tail
+    if tail > SERIES_TAIL_TOL * max(1.0, float(np.max(np.abs(value.coeffs)))):
         raise ConvergenceError(
             f"series tail {tail:.3e} above tolerance {SERIES_TAIL_TOL:.1e}; "
             "increase J or shrink |x|"
         )
-    return Multivector(dim, acc), tail
+    return value, tail
 
 
-def _parity_sum(profiles, parity: int, r: float, t: float) -> complex:
-    """sum_j (-1)^(j//2) r^j profiles[j](t) over the indices j of one parity."""
-    acc = 0.0 + 0.0j
-    for j in range(parity, len(profiles), 2):
-        sign = -1.0 if (j // 2) % 2 else 1.0
-        acc += sign * r ** j * profiles[j].value(t)
-    return acc
+def _series_pair(series: PlaneWaveSeries, pt: BiaxialPoint, r: float):
+    """(A, B, tail) of the series at pt, |x| = r, with tail as in eval_series.
 
-
-def series_axial_parts(series: PlaneWaveSeries, r: float, y: np.ndarray):
-    """Axial split f = A + (x/|x|) B with A (B) the even (odd) terms at |x| = r."""
-    dim = series.p + series.q
-    t = float(np.dot(np.asarray(y, dtype=float), series.s))
-    s_mv = embed_vector(dim, series.p, series.s)
-
-    def part(parity):
-        c = _parity_sum(series.C, parity, r, t)
-        return Multivector.scalar(dim, c) + _parity_sum(series.D, parity, r, t) * s_mv
-
-    return part(0), part(1)
+    x^j = (-1)^(j//2) r^j (x/r)^(j%2), so A (B) is c + d s with c and d the
+    sums of (-1)^(j//2) r^j C_j(t) and D_j(t), t = <y, s>, over the even
+    (odd) j; zero profiles are not evaluated.
+    """
+    t = float(np.dot(pt.y, series.s))
+    c_sums, d_sums = [0j, 0j], [0j, 0j]
+    c = d = 0.0
+    for j, (cj, dj) in enumerate(zip(series.C, series.D)):
+        weight = (-1.0 if (j // 2) % 2 else 1.0) * r ** j
+        c = 0.0 if cj.is_zero else cj.value(t)
+        d = 0.0 if dj.is_zero else dj.value(t)
+        c_sums[j % 2] += weight * c
+        d_sums[j % 2] += weight * d
+    # Added onto zeros, as a sum of terms is, so that no coefficient is -0.0.
+    out = np.zeros((2, 1 << pt.dim), dtype=np.complex128)
+    out[:, 0] = c_sums
+    out += np.multiply.outer(d_sums, embed_vector(pt.dim, pt.p, series.s).coeffs)
+    # Term j puts C_j on 1 or r^(j-1) x and D_j on s or r^(j-1) x s, whose
+    # coefficients are x_i s_k; an empty series has c = d = 0.
+    j = max(series.truncation - 1, 0)
+    size = r ** j if j % 2 == 0 else r ** (j - 1) * float(np.max(np.abs(pt.x)))
+    tail = size * max(abs(c), abs(d) * float(np.max(np.abs(series.s))))
+    return Multivector._wrap(pt.dim, out[0]), Multivector._wrap(pt.dim, out[1]), tail
 
 
 def ck_bessel_form(pt: BiaxialPoint, s) -> Multivector:

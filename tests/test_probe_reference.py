@@ -6,7 +6,7 @@ meets batch_vector_mv to rounding."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -86,12 +86,15 @@ def _vector_product(comps, mats, dim):
 
 def _close(comps, mats, dim, want):
     """batch_product on the generator coefficient rows of comps meets want
-    to 1e-14 of sum |v_n| max |M_n|, which bounds every coefficient of v_n M_n."""
+    to 1e-14 of sum |v_n| max |M_n|, which bounds every coefficient of v_n M_n,
+    plus 4 dim subnormal units: where products fall below the normal range
+    each rounds to an absolute 2^-1074 grid, and the two paths were seen
+    up to 1.5 dim units apart."""
     rows = np.zeros((comps.shape[0], 1 << dim))
     rows[:, 1 << np.arange(dim)] = comps
     scale = np.sum(np.abs(comps), axis=1) * np.max(np.abs(mats), axis=1)
     err = np.max(np.abs(batch_product(rows, mats, dim) - want), axis=1)
-    assert np.all(err <= 1e-14 * scale)
+    assert np.all(err <= 1e-14 * scale + 4 * dim * np.finfo(float).smallest_subnormal)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 5, 8])
@@ -154,8 +157,19 @@ def vector_batches(draw):
     return dim, comps, mats
 
 
+# Products of subnormal size: the two paths differ by 4 units of 2^-1074,
+# while 1e-14 of the scale (1.4e-318) underflows to 0.
+_SUBNORMAL_BATCH = (
+    3,
+    np.array([[-2e-67, -3e-66, -0.0]]),
+    np.array([[-2e-253 + 3.9e-253j, -7e-254 - 3.3e-253j, 1.1e-253 + 1e-254j, 3.3e-253 + 3.3e-253j,
+               2.4e-253 - 8e-254j, -2.7e-253 - 1.9e-253j, -2e-254 + 4e-254j, -1e-254 - 1.4e-253j]]),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(vector_batches())
+@example(_SUBNORMAL_BATCH)
 def test_batch_product_on_vector_rows_equals_batch_vector_mv(batch):
     dim, comps, mats = batch
     want = reference.batch_vector_mv(comps, mats, dim)

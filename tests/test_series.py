@@ -2,25 +2,36 @@
 
 series_reference.py holds the former CK extension and plane-wave
 evaluator unchanged.  The CK extension is the recurrence with D_0 = 0, so
-its values and tails must come out bit for bit; the plane-wave evaluator
-grouped its odd-term products differently and agrees to rounding.
+its profiles, truncation and termination must come out exactly.  Values
+and tails are summed as the axial pair A + (x/|x|) B, with A and B scalar
+parity sums, where the references added one 2^dim-wide term at a time, so
+both evaluators agree to rounding; eval_series is the pair's assembly bit
+for bit.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biaxial.fields as fields
 import biaxial.planewave as planewave
 import series_reference as ref
 from biaxial.algebra import BiaxialPoint
-from biaxial.fields import ExpLinear, ck_extend, eval_series, hpw_recurrence, series_axial_parts
+from biaxial.fields import (
+    ExpLinear,
+    _axial_value,
+    _series_pair,
+    ck_extend,
+    eval_series,
+    hpw_recurrence,
+)
 from biaxial.special import ConvergenceError
 
 S2 = np.array([1.0, 0.0])
+S3 = np.array([0.0, 0.6, -0.8])
 
 _coef = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -74,6 +85,10 @@ def _close_to_planewave_reference(series, pt):
 
 @settings(max_examples=150, deadline=None)
 @given(case(with_d0=False))
+# An odd last index at r = 0, whose last term is 0, and an odd last index
+# off the axis, whose pair has only D nonzero.
+@example((3, 2, ExpLinear.exponential(S2), None, 1, BiaxialPoint(3, 2, np.zeros(3), [0.3, -0.2])))
+@example((2, 3, ExpLinear.exponential(S3), None, 3, BiaxialPoint(2, 3, [0.3, 0.2], [0.1, 0.4, -0.5])))
 def test_ck_extension_matches_reference_evaluators(data):
     p, q, f0, _, J, pt = data
     series = ck_extend(f0, p, q, J=J)
@@ -90,10 +105,11 @@ def test_ck_extension_matches_reference_evaluators(data):
         assert np.array_equal(kept.poly, profile.poly)
     got, got_tail = _outcome(eval_series, series, pt)
     want, want_tail = _outcome(ref.eval_series, old, pt)
-    assert got_tail == want_tail
     assert (got is None) == (want is None)
     if got is not None:
-        assert np.array_equal(got, want)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+        assert abs(got_tail - want_tail) <= 1e-15 * scale
     _close_to_planewave_reference(series, pt)
 
 
@@ -104,6 +120,45 @@ def test_plane_wave_pairs_match_reference_evaluator(data):
     series = hpw_recurrence(c0, d0, p, q, J=J)
     assert len(series.profiles) == series.truncation
     _close_to_planewave_reference(series, pt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case(with_d0=True))
+def test_value_is_the_assembly_of_the_axial_pair(data):
+    p, q, c0, d0, J, pt = data
+    series = hpw_recurrence(c0, d0, p, q, J=J)
+    with mock.patch.object(fields, "SERIES_TAIL_TOL", np.inf):
+        value, tail = eval_series(series, pt)
+    a, b, last = _series_pair(series, pt, pt.r)
+    assembled = _axial_value(pt, pt.r, a, b)
+    assert value.coeffs.tobytes() == assembled.coeffs.tobytes()
+    assert tail == (0.0 if series.terminated else last)
+
+
+@pytest.mark.parametrize("J", [1, 3])
+def test_odd_last_term_is_zero_on_the_axis(J):
+    series = ck_extend(ExpLinear.exponential(S2), 3, 2, J=J)
+    assert not series.terminated and series.truncation == J + 1
+    value, tail = eval_series(series, BiaxialPoint(3, 2, np.zeros(3), np.array([0.3, -0.2])))
+    want = np.zeros(32, dtype=np.complex128)
+    want[0] = ExpLinear.exponential(S2).value(0.3)
+    assert tail == 0.0
+    assert value.coeffs.tobytes() == want.tobytes()
+
+
+def test_tail_of_a_pair_with_only_d_nonzero():
+    # One stored pair (C_0, D_0) = (0, exp): the term s e^t, whose largest
+    # blade coefficient is e^t max |s_k|.
+    s = np.array([0.6, -0.8])
+    exp = ExpLinear.exponential(s)
+    series = hpw_recurrence(ExpLinear.zero(s), exp, 2, 2, J=0)
+    assert series.C[0].is_zero and not series.terminated
+    pt = BiaxialPoint(2, 2, np.array([0.3, 0.1]), np.array([0.2, 0.5]))
+    with mock.patch.object(fields, "SERIES_TAIL_TOL", np.inf):
+        value, tail = eval_series(series, pt)
+    t = float(np.dot(pt.y, s))
+    assert tail == abs(exp.value(t)) * 0.8
+    assert tail == float(np.max(np.abs(value.coeffs)))
 
 
 @pytest.mark.parametrize("coeffs, J", [([0.0, 1.0], 2), ([0.0, 0.0, 1.0], 3), ([1.0, -1.0, 2.0], 3)])
@@ -127,8 +182,8 @@ def test_zero_datum_gives_empty_series():
         value, tail = eval_series(series, pt)
         assert value.norm_inf == 0.0
         assert tail == 0.0
-        a_part, b_part = series_axial_parts(series, pt.r, pt.y)
-        assert a_part.norm_inf == 0.0 and b_part.norm_inf == 0.0
+        a_part, b_part, last = _series_pair(series, pt, pt.r)
+        assert a_part.norm_inf == 0.0 and b_part.norm_inf == 0.0 and last == 0.0
 
 
 def test_plane_wave_names_are_the_engine():
