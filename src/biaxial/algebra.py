@@ -7,9 +7,11 @@ blade bitmask, bit i set meaning the factor e_{i+1} is present, factors
 taken in increasing order.  All values are immutable and all operations
 are pure, so they are safe to use from multiple threads.
 
-The geometric product goes through the matrix representation of the
-algebra (_matrix_tables); a product whose left factor is a vector goes
-through one signed permutation per generator instead (vector_product).
+Every geometric product goes through one path, the matrix representation
+of the algebra (_matrix_tables, _matrix_product): the product operator,
+batch_product, batch_vector_product with its vector factors scattered on
+the grade-1 blades, and the interior/exterior split of a vector times a
+multivector, which projects the products x a_k by grade.
 """
 
 import math
@@ -27,26 +29,6 @@ def blade_grades(dim: int) -> np.ndarray:
     grades = sum((idx >> bit) & 1 for bit in range(dim))
     grades.setflags(write=False)
     return grades
-
-
-@lru_cache(maxsize=None)
-def _generator_rows(dim: int):
-    """Sign and source rows of the products e_i e_B, one per generator.
-
-    e_i e_B lands on blade k = B ^ 2^i with the sign of the swaps that move
-    e_i past the factors of B below it, flipped once more when e_i is in B
-    (e_i^2 = -1): with k's bits 0..i, that is -(-1)^popcount.  signs
-    (dim, 2^dim, 1) int8 holds that sign at the target blade k, perms
-    (dim, 2^dim) the source blade k ^ 2^i; gens holds the blades 2^i.
-    """
-    idx = np.arange(1 << dim)
-    gens = 1 << np.arange(dim)
-    parity = np.cumsum([(idx >> i) & 1 for i in range(dim)], axis=0) % 2
-    signs = (2 * parity - 1).astype(np.int8)[:, :, None]
-    perms = idx ^ gens[:, None]
-    for table in (signs, perms, gens):
-        table.setflags(write=False)
-    return signs, perms, gens
 
 
 @lru_cache(maxsize=None)
@@ -263,64 +245,38 @@ def batch_product(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     return _matrix_product(a, b, dim)
 
 
-def _vector_columns(x: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
-    """Products of grade-1 columns x (dim, N), the generator coefficients,
-    with coefficient columns b (2^dim, N): blade k sums
-    (x_i signs[i, k]) b_{k ^ 2^i} over ascending i, skipping generators
-    zero in all of x."""
-    signs, perms, _ = _generator_rows(dim)
-    out = np.zeros(b.shape, dtype=np.complex128)
-    # One column needs no any() reduction, which costs more than one term.
-    for i in np.flatnonzero(x[:, 0] if x.shape[1] == 1 else x.any(axis=1)).tolist():
-        out += (x[i] * signs[i]) * b.take(perms[i], axis=0)
-    return out
-
-
-def _vector_coeffs(x: Multivector) -> np.ndarray:
-    """The generator coefficients x_1..x_dim of a pure grade-1 x."""
-    comps = x.coeffs.take(_generator_rows(x.dim)[2])
-    if np.count_nonzero(comps) != np.count_nonzero(x.coeffs):
-        raise ValueError("expected a pure grade-1 multivector")
-    return comps
-
-
-def vector_product(x: Multivector, b: Multivector) -> Multivector:
-    """x*b for a pure grade-1 x, as the sum of x_i (e_i b) over its nonzero
-    x_i; each e_i b is a signed permutation of b's coefficients.  It meets
-    x * b to rounding at a cost of one pass per live generator."""
-    x._check_same(b)
-    out = _vector_columns(_vector_coeffs(x)[:, None], b.coeffs[:, None], x.dim)
-    return Multivector._wrap(x.dim, out[:, 0])
-
-
 def batch_vector_product(components: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
-    """Rows v_n b_n of vector_product for vector components (N, dim) and
-    coefficient rows b (N, 2^dim); a generator zero in every row is skipped."""
+    """Rows v_n b_n for vector components (N, dim) and coefficient rows b
+    (N, 2^dim): batch_product of the components scattered on the grade-1
+    blades, bit for bit."""
     x, b = (np.asarray(m, dtype=np.complex128) for m in (components, b))
     if x.shape != (b.shape[0], dim) or b.shape[1:] != (1 << dim,):
         raise ValueError("inconsistent batch shapes")
-    return np.ascontiguousarray(_vector_columns(x.T, np.ascontiguousarray(b.T), dim).T)
+    rows = np.zeros(b.shape, dtype=np.complex128)
+    rows[:, 1 << np.arange(dim)] = x
+    return _matrix_product(rows, b, dim)
 
 
 def _vector_product_parts(x: Multivector, a: Multivector):
-    """Split x*a term-by-term into the grade-lowering and grade-raising parts.
+    """The grade-lowering and grade-raising parts of x*a for a pure grade-1 x.
 
-    For a basis vector e_i and a blade e_A the product lowers the grade
-    exactly when i is a factor of A, so the term lands on a blade without
-    i; that term partition realizes x . a_k = (x a_k - (-1)^k a_k x)/2 and
-    x ^ a_k = (x a_k + (-1)^k a_k x)/2 with the sign rows of vector_product.
+    With a_k the grade-k part of a, x a_k has grades k - 1 and k + 1 only:
+    x . a is the grade-(k-1) part of x a_k summed over k, and x ^ a the
+    grade-(k+1) part.  The dim + 1 products x a_k are one batch.
     """
     x._check_same(a)
-    signs, perms, _ = _generator_rows(x.dim)
-    comps = _vector_coeffs(x)
-    lower = np.zeros(1 << x.dim, dtype=np.complex128)
-    raise_ = np.zeros(1 << x.dim, dtype=np.complex128)
-    for i in np.flatnonzero(comps).tolist():
-        # Axis 1 of the (-1, 2, 2^i) view is bit i of the target blade.
-        term = ((comps[i] * signs[i, :, 0]) * a.coeffs.take(perms[i])).reshape(-1, 2, 1 << i)
-        lower.reshape(-1, 2, 1 << i)[:, 0] += term[:, 0]
-        raise_.reshape(-1, 2, 1 << i)[:, 1] += term[:, 1]
-    return lower, raise_
+    grades = blade_grades(x.dim)
+    if np.any(x.coeffs[grades != 1]):
+        raise ValueError("expected a pure grade-1 multivector")
+    blades = np.arange(1 << x.dim)
+    by_grade = np.zeros((x.dim + 1, blades.size), dtype=np.complex128)
+    by_grade[grades, blades] = a.coeffs
+    # Row k + 1 of padded is x a_k; rows 0 and dim + 2 stand for the empty
+    # grades -1 and dim + 1.  A blade of grade g is lowered from x a_{g+1}
+    # and raised from x a_{g-1}.
+    padded = np.zeros((x.dim + 3, blades.size), dtype=np.complex128)
+    padded[1:-1] = _matrix_product(np.broadcast_to(x.coeffs, by_grade.shape), by_grade, x.dim)
+    return padded[grades + 2, blades], padded[grades, blades]
 
 
 def vector_interior(x: Multivector, a: Multivector) -> Multivector:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BiaxialPoint, Multivector, batch_vector_product, vector_product
+from .algebra import BiaxialPoint, Multivector, batch_vector_product
 from .fields import AxialField
 from .quadrature import HemisphereRule, SphereRule, sphere_area
 from .special import _check_range, hyp2f1_symmetric
@@ -337,7 +337,7 @@ def reconstruct_ab_variants(field: AxialField, pt: BiaxialPoint, hrule: Hemisphe
     core = nu_a - mom[1, 1]
     odd = nu_b - mom[0, 1]
     y_mv = pt.embed_y_vector(pt.y)
-    y_core, y_odd = (vector_product(y_mv, Multivector._wrap(dim, v)).coeffs for v in (core, odd))
+    y_core, y_odd = ((y_mv * Multivector._wrap(dim, v)).coeffs for v in (core, odd))
     a_full = Multivector(dim, mom[0, 0] + y_core)
     return {
         "full": (a_full, Multivector(dim, r * core)),
@@ -391,5 +391,5 @@ class FullBallCauchy:
         # sum scale (z - eta) eta f = z sum_i e_i (sum scale eta_i f) + sum scale |eta|^2 f.
         moments = _live_product(self._rows * scale, self._cols)
         eta_f = batch_vector_product(np.eye(dim), moments[:-1], dim).sum(axis=0)
-        total = vector_product(pt.embed(), Multivector._wrap(dim, eta_f)).coeffs + moments[-1]
+        total = (pt.embed() * Multivector._wrap(dim, eta_f)).coeffs + moments[-1]
         return Multivector(dim, total / sphere_area(dim))

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import BiaxialPoint, Multivector, embed_vector, vector_interior, vector_product
+from .algebra import BiaxialPoint, Multivector, batch_vector_product, embed_vector, vector_interior
 from .special import ConvergenceError, _check_range
 
 FD_STEP_MIN = 1e-6
@@ -383,11 +383,9 @@ def _central_difference(g: Callable, c: np.ndarray, first: int, dim: int, r: flo
         moved[i] += delta
         return g(moved)
 
-    acc = Multivector.zero(dim)
-    for i in range(c.size):
-        diff = (at(i, h) - at(i, -h)) / (2.0 * h)
-        acc = acc + vector_product(Multivector.basis_vector(dim, first + i), diff)
-    return acc
+    diffs = [((at(i, h) - at(i, -h)) / (2.0 * h)).coeffs for i in range(c.size)]
+    generators = np.eye(dim)[first - 1:first - 1 + c.size]
+    return Multivector._wrap(dim, batch_vector_product(generators, diffs, dim).sum(axis=0))
 
 
 def dirac_apply_fd(f, pt: BiaxialPoint, h: float = 1e-4) -> Multivector:

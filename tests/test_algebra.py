@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,7 +22,6 @@ from biaxial.algebra import (
     blade_name,
     vector_exterior,
     vector_interior,
-    vector_product,
 )
 from biaxial.rng import SplitMix64
 
@@ -186,13 +185,15 @@ def test_batch_vector_mv_matches_scalar_path():
     n = 16
     comps = np.array([rng.uniform_array(dim, -1, 1) for _ in range(n)])
     mats = np.array([rng.complex_coeffs(1 << dim) for _ in range(n)])
-    # batch_vector_mv, the deleted vector-times-multivector kernel, lives on
-    # in probe_reference; batch_vector_product gives its bytes.
+    rows = _vector_rows(comps, dim)
     out = batch_vector_product(comps, mats, dim)
-    assert out.tobytes() == probe_reference.batch_vector_mv(comps, mats, dim).tobytes()
+    assert out.tobytes() == batch_product(rows, mats, dim).tobytes()
+    # batch_vector_mv, the deleted vector-times-multivector kernel, lives on
+    # in probe_reference.
+    _close_to(out, probe_reference.batch_vector_mv(comps, mats, dim), rows, mats, dim)
     for row in range(n):
         direct = Multivector.vector(dim, comps[row]) * Multivector(dim, mats[row])
-        np.testing.assert_allclose(out[row], direct.coeffs, atol=1e-13)
+        assert direct.coeffs.tobytes() == out[row].tobytes()
 
 
 @st.composite
@@ -213,16 +214,32 @@ def product_batches(draw):
     return dim, a, b
 
 
-def _close_to_loop(got, a, b, dim):
-    """got meets the blade-loop product of the rows a, b to 1e-14 of the
-    rows' scale sum |a_n| max |b_n|, which bounds every coefficient."""
-    want = ref.batch_product(a, b, dim)
+def _vector_rows(comps, dim):
+    """Coefficient rows of the vectors with components comps (N, dim)."""
+    rows = np.zeros((comps.shape[0], 1 << dim), dtype=np.complex128)
+    rows[:, 1 << np.arange(dim)] = comps
+    return rows
+
+
+def _close_to(got, want, a, b, dim):
+    """got meets want, a product of the rows a, b, to 1e-14 of the rows'
+    scale sum |a_n| max |b_n|, which bounds every coefficient, plus 4 dim
+    subnormal units: below the normal range each product rounds to an
+    absolute 2^-1074 grid, where 1e-14 of the scale underflows to 0."""
     scale = np.sum(np.abs(a), axis=1) * np.max(np.abs(b), axis=1)
-    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-14 * scale)
+    floor = 4 * dim * np.finfo(float).smallest_subnormal
+    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-14 * scale + floor)
+
+
+def _close_to_loop(got, a, b, dim):
+    """got meets the blade-loop product of the rows a, b (_close_to)."""
+    _close_to(got, ref.batch_product(a, b, dim), a, b, dim)
 
 
 @settings(max_examples=80, deadline=None)
 @given(product_batches())
+# Products of subnormal size: the paths differ by one unit of 2^-1074.
+@example((1, np.array([[1.297e-159j, 1.297e-159j]]), np.array([[1.297e-159, 0.0]])))
 def test_batch_product_rows_are_the_per_pair_product(batch):
     dim, a, b = batch
     out = batch_product(a, b, dim)
@@ -288,23 +305,51 @@ def vector_factors(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(vector_factors())
-def test_vector_product_is_the_blade_loop_bit_for_bit(case):
+def test_vector_product_meets_the_blade_loop(case):
+    """batch_vector_product is batch_product on the vector rows and the one-row
+    product bit for bit; it and the interior/exterior split meet the blade
+    loop and its sign-table split (tests/product_reference.py) to rounding."""
     dim, x, b = case
-    rows = np.zeros((x.shape[0], 1 << dim), dtype=np.complex128)
-    rows[:, 1 << np.arange(dim)] = x
-    assert batch_vector_product(x, b, dim).tobytes() == ref.batch_product(rows, b, dim).tobytes()
+    rows = _vector_rows(x, dim)
+    got = batch_vector_product(x, b, dim)
+    assert got.tobytes() == batch_product(rows, b, dim).tobytes()
+    _close_to_loop(got, rows, b, dim)
     for n in range(x.shape[0]):
         xv, bv = Multivector.vector(dim, x[n]), Multivector(dim, b[n])
-        assert vector_product(xv, bv).coeffs.tobytes() == ref.product(xv, bv).coeffs.tobytes()
-        got, want = _vector_product_parts(xv, bv), ref._vector_product_parts(xv, bv)
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert (xv * bv).coeffs.tobytes() == got[n].tobytes()
+        parts, want = _vector_product_parts(xv, bv), ref._vector_product_parts(xv, bv)
+        for part, w in zip(parts, want):
+            _close_to(part[None], w[None], rows[n:n + 1], b[n:n + 1], dim)
+
+
+@st.composite
+def homogeneous_factors(draw):
+    """(x, a, k): a vector x and a multivector a of the one grade k."""
+    dim = draw(st.integers(1, 8))
+    k = draw(st.integers(0, dim))
+    part = st.floats(-4.0, 4.0, allow_subnormal=False)
+    x = (draw(arrays(np.float64, dim, elements=part))
+         + 1j * draw(arrays(np.float64, dim, elements=part)))
+    a = (draw(arrays(np.float64, 1 << dim, elements=part))
+         + 1j * draw(arrays(np.float64, 1 << dim, elements=part)))
+    a[blade_grades(dim) != k] = 0.0
+    return Multivector.vector(dim, x), Multivector(dim, a), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous_factors())
+def test_interior_and_exterior_of_a_homogeneous_element_keep_to_one_grade(case):
+    x, a, k = case
+    grades = blade_grades(x.dim)
+    assert np.all(vector_interior(x, a).coeffs[grades != k - 1] == 0.0)
+    assert np.all(vector_exterior(x, a).coeffs[grades != k + 1] == 0.0)
 
 
 def test_vector_product_refuses_a_non_vector_and_other_dims():
     with pytest.raises(ValueError, match="pure grade-1"):
-        vector_product(Multivector.scalar(3, 1.0) + e(3, 1), e(3, 2))
+        vector_interior(Multivector.scalar(3, 1.0) + e(3, 1), e(3, 2))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        vector_product(e(3, 1), e(4, 1))
+        vector_exterior(e(3, 1), e(4, 1))
     with pytest.raises(ValueError, match="inconsistent batch shapes"):
         batch_vector_product(np.zeros((2, 3)), np.zeros((2, 16)), 4)
     with pytest.raises(ValueError, match="inconsistent batch shapes"):

@@ -1,6 +1,7 @@
 """The stored point-independent half of the hemisphere sweep: the same bits
-as the sweep it replaced (tests/sweep_reference.py), one A and one B call
-per block for a (field, rule) pair, and a lifetime bounded by both."""
+as a freshly built sweep, the values of the sweep it replaced
+(tests/sweep_reference.py) to rounding, one A and one B call per block for
+a (field, rule) pair, and a lifetime bounded by both."""
 
 import dataclasses
 import gc
@@ -14,7 +15,7 @@ from biaxial.algebra import BiaxialPoint, Multivector, embed_vector
 from biaxial.cauchy import reconstruct_ab_variants
 from biaxial.fields import AxialField, constant_field, linear_monogenic_field
 from biaxial.planewave import exp_hpw_axial_field, fourier_axial_field, poly_hpw_axial_field
-from biaxial.quadrature import hemisphere_rule, sphere_rule
+from biaxial.quadrature import hemisphere_rule, sphere_area, sphere_rule
 
 import sweep_reference as reference
 
@@ -56,6 +57,18 @@ def counting(field):
     return dataclasses.replace(field, A=wrap("A", field.A), B=wrap("B", field.B)), calls
 
 
+def term_scale(field, pt, hrule):
+    """A bound on the terms of every variant coefficient: the variants add
+    the sweep's moments, their products by e_{p+1}..e_{p+q} and those sums
+    times r or the vector y, so (1 + (r + |y|_1)(q + 1)) times the largest
+    moment bounds them."""
+    blocks, cols = cauchy._boundary_sweep(field, hrule)
+    mom = sum(cauchy._node_moments(field.p, field.q, pt.r, pt.y, block, block_cols)
+              for block, block_cols in zip(blocks, cols))
+    largest = np.max(np.abs(mom)) / sphere_area(field.p + field.q)
+    return (1.0 + (pt.r + np.sum(np.abs(pt.y))) * (field.q + 1)) * largest
+
+
 @pytest.mark.parametrize("p,q,res", SPLITS)
 @pytest.mark.parametrize("name", FAMILIES)
 def test_stored_sweep_equals_the_sweep_it_replaced(p, q, res, name):
@@ -63,12 +76,17 @@ def test_stored_sweep_equals_the_sweep_it_replaced(p, q, res, name):
     hrule = hemisphere_rule(p, q, res)
     n_blocks = -(-res ** q // cauchy._NODE_BLOCK)
     assert (n_blocks > 1) == (q == 3)
+    floor = 4 * (p + q) * np.finfo(float).smallest_subnormal
     for pt in points(p, q):
         got = reconstruct_ab_variants(field, pt, hrule)
+        # A new field and rule build their sweep afresh.
+        fresh = reconstruct_ab_variants(make_field(name, p, q), pt, hemisphere_rule(p, q, res))
         want = reference.reconstruct_ab_variants(field, pt, hrule)
+        bound = 1e-14 * term_scale(field, pt, hrule) + floor
         for variant, pair in want.items():
-            for g, w in zip(got[variant], pair):
-                assert g.coeffs.tobytes() == w.coeffs.tobytes(), variant
+            for g, f, w in zip(got[variant], fresh[variant], pair):
+                assert g.coeffs.tobytes() == f.coeffs.tobytes(), variant
+                assert np.all(np.abs(g.coeffs - w.coeffs) <= bound), variant
     # One A and one B call per block for the library, the rest from the reference.
     n_points = len(points(p, q))
     assert calls == {"A": n_blocks * (n_points + 1), "B": n_blocks * (n_points + 1)}

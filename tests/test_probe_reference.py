@@ -1,8 +1,8 @@
-"""The probed 2F1 series against the code it replaced, and the vector-left
-product against batch_vector_mv, the deleted vector-times-multivector
-kernel (both kept in tests/probe_reference.py), bit for bit.  The general
-product on the same vector rows goes through the matrix representation and
-meets batch_vector_mv to rounding."""
+"""The probed 2F1 series against the code it replaced, bit for bit, and the
+vector-left product against batch_vector_mv, the deleted
+vector-times-multivector kernel, to rounding (both kept in
+tests/probe_reference.py).  The vector-left product is the general product
+on the vector rows, through the matrix representation, bit for bit."""
 
 import numpy as np
 import pytest
@@ -79,21 +79,19 @@ def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _vector_product(comps, mats, dim):
-    """v_n M_n for the rows n of comps (N, dim) and mats (N, 2^dim)."""
-    return batch_vector_product(comps, mats, dim)
-
-
 def _close(comps, mats, dim, want):
-    """batch_product on the generator coefficient rows of comps meets want
-    to 1e-14 of sum |v_n| max |M_n|, which bounds every coefficient of v_n M_n,
-    plus 4 dim subnormal units: where products fall below the normal range
-    each rounds to an absolute 2^-1074 grid, and the two paths were seen
-    up to 1.5 dim units apart."""
+    """v_n M_n for the rows n of comps (N, dim) and mats (N, 2^dim) is
+    batch_product on the generator coefficient rows of comps bit for bit, and
+    meets want to 1e-14 of sum |v_n| max |M_n|, which bounds every coefficient
+    of v_n M_n, plus 4 dim subnormal units: where products fall below the
+    normal range each rounds to an absolute 2^-1074 grid, and the two paths
+    were seen up to 1.5 dim units apart."""
     rows = np.zeros((comps.shape[0], 1 << dim))
     rows[:, 1 << np.arange(dim)] = comps
+    got = batch_vector_product(comps, mats, dim)
+    _same(got, batch_product(rows, mats, dim))
     scale = np.sum(np.abs(comps), axis=1) * np.max(np.abs(mats), axis=1)
-    err = np.max(np.abs(batch_product(rows, mats, dim) - want), axis=1)
+    err = np.max(np.abs(got - want), axis=1)
     assert np.all(err <= 1e-14 * scale + 4 * dim * np.finfo(float).smallest_subnormal)
 
 
@@ -103,9 +101,7 @@ def test_batch_vector_mv_equals_the_full_gather_on_dense_rows(dim, rows):
     rng = np.random.default_rng(dim * 10 + rows)
     comps = rng.standard_normal((rows, dim))
     mats = _complex(rng, (rows, 1 << dim))
-    want = reference.batch_vector_mv(comps, mats, dim)
-    _same(_vector_product(comps, mats, dim), want)
-    _close(comps, mats, dim, want)
+    _close(comps, mats, dim, reference.batch_vector_mv(comps, mats, dim))
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 8])
@@ -126,15 +122,15 @@ def test_batch_vector_mv_equals_the_full_gather_on_sparse_rows(dim):
     mats[1::3, live[-1]] = complex(0.0, -0.0)
     mats[:, live[1]] = mats[:, live[1]].real + 0.0j
     mats[:, live[2]] = 1j * mats[:, live[2]].imag
-    _same(_vector_product(comps, mats, dim), reference.batch_vector_mv(comps, mats, dim))
+    _close(comps, mats, dim, reference.batch_vector_mv(comps, mats, dim))
 
 
 def test_batch_vector_mv_equals_the_full_gather_on_zero_input():
     comps = np.zeros((3, 4))
     mats = np.full((3, 16), complex(-0.0, -0.0))
-    _same(_vector_product(comps, mats, 4), reference.batch_vector_mv(comps, mats, 4))
+    _close(comps, mats, 4, reference.batch_vector_mv(comps, mats, 4))
     comps[:, 1] = 1.0
-    _same(_vector_product(comps, mats, 4), reference.batch_vector_mv(comps, mats, 4))
+    _close(comps, mats, 4, reference.batch_vector_mv(comps, mats, 4))
 
 
 @st.composite
@@ -172,6 +168,4 @@ _SUBNORMAL_BATCH = (
 @example(_SUBNORMAL_BATCH)
 def test_batch_product_on_vector_rows_equals_batch_vector_mv(batch):
     dim, comps, mats = batch
-    want = reference.batch_vector_mv(comps, mats, dim)
-    _same(_vector_product(comps, mats, dim), want)
-    _close(comps, mats, dim, want)
+    _close(comps, mats, dim, reference.batch_vector_mv(comps, mats, dim))
