@@ -133,10 +133,9 @@ class KernelParams:
     c2: float = field(init=False)
 
     def __post_init__(self):
-        if self.p < 2 or self.q < 2:
-            raise ValueError("kernel needs p, q >= 2")
-        if not self.r >= 0:
-            raise ValueError(f"r is a radius, need r >= 0, got {self.r}")
+        _check_range("p", self.p, 2, math.inf)
+        _check_range("q", self.q, 2, math.inf)
+        _check_range("radius r", self.r, 0, math.inf)
         y = np.asarray(self.y, dtype=np.float64)
         nu = np.asarray(self.nu, dtype=np.float64)
         if y.shape != (self.q,) or nu.shape != (self.q,):
@@ -194,7 +193,7 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
       |x - c omega|^2 + |dy|^2 = (|x|^2 + c^2 + |dy|^2) - 2c <x, omega>,
     so one matvec <x, omega> per block serves every y.  The expansion
     rounds apart from the direct square and can put an exact zero slightly
-    below 0, which the near-singular check refuses like any tiny distance,
+    below 0, which the distance check refuses like any tiny distance,
     before any reciprocal is taken.  The squared distances go to the power
     -(p+q)/2 through _inverse_half_power's integer ladder, and each y row's
     dot with the block's weights adds to that row's running sum.  Each row
@@ -220,8 +219,8 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
         t = rule.points[start:start + _ORACLE_BLOCK] @ x
         t *= -2.0 * c
         dist2 = offsets + t
-        if not float(np.min(dist2, initial=np.inf)) >= _MIN_BOUNDARY_DISTANCE ** 2:
-            raise ValueError("kernel oracle integrand is near-singular at this node")
+        _check_range("squared distance to a boundary node", float(np.min(dist2, initial=np.inf)),
+                     _MIN_BOUNDARY_DISTANCE ** 2, math.inf)
         _inverse_half_power(dist2, p + q, np.empty_like(dist2))
         weights = rule.weights[start:start + _ORACLE_BLOCK]
         for i, row in enumerate(dist2):
@@ -384,8 +383,8 @@ class FullBallCauchy:
         for coord, row in zip(z, self._rows[:dim]):
             d = coord - row
             dist2 += d * d
-        if not float(np.min(dist2)) >= _MIN_BOUNDARY_DISTANCE ** 2:
-            raise ValueError("evaluation point is too close to a boundary node")
+        _check_range("squared distance to a boundary node", float(np.min(dist2)),
+                     _MIN_BOUNDARY_DISTANCE ** 2, math.inf)
         scale = self.rule.weights * _inverse_half_power(dist2, dim, np.empty_like(dist2))
         # Bilinearity, with eta eta = -|eta|^2:
         # sum scale (z - eta) eta f = z sum_i e_i (sum scale eta_i f) + sum scale |eta|^2 f.

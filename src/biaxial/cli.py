@@ -73,11 +73,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_limit(count: int, what: str, limit=MAX_REPORT_CELLS, unit="cells") -> None:
-    if count > limit:
-        raise ConfigError(f"{what} needs {count} {unit}, above the limit of {limit}")
-
-
 def _check_finite(name: str, text, *values) -> None:
     if not all(np.all(np.isfinite(v)) for v in values):
         raise ConfigError(f"{name} must hold finite numbers, got {text!r}")
@@ -109,8 +104,7 @@ def _build_config(args) -> RunConfig:
     p, q = args.p, args.q
     _check_range("--p", p, 2, 7)
     _check_range("--q (p + q <= 8)", q, 1, 8 - p)
-    if args.res < 8:
-        raise ConfigError(f"need resolution >= 8, got {args.res}")
+    _check_range("--res", args.res, 8, math.inf)
     _check_range("--h", args.h, FD_STEP_MIN, FD_STEP_MAX)
     if args.s is None:
         s = np.zeros(q)
@@ -333,8 +327,7 @@ def _kernel_pairs(cfg: RunConfig, rule, r: float, theta: float, ys, nu):
 
 
 def _suite_kernel(cfg: RunConfig, rng: SplitMix64):
-    if cfg.q < 2:
-        raise ConfigError("kernel suite needs q >= 2")
+    _check_range("kernel suite q", cfg.q, 2, math.inf)
     rule = sphere_rule(cfg.p, min(cfg.res, 64))
     nu = np.eye(cfg.q)[0]
     ys = np.outer((0.0, 0.2, 0.4), np.eye(cfg.q)[-1])
@@ -412,8 +405,7 @@ def _suite_planewave(cfg: RunConfig, rng: SplitMix64):
 
 
 def _suite_ck(cfg: RunConfig, rng: SplitMix64):
-    if cfg.J < 2:
-        raise ConfigError(f"ck suite needs J >= 2, got J={cfg.J}")
+    _check_range("ck suite J", cfg.J, 2, math.inf)
     linear = ck_extend(ExpLinear.polynomial(cfg.s, [0.0, 1.0]), cfg.p, cfg.q)
     term_err = 0.0 if (linear.terminated and linear.truncation == 2) else 1.0
     term_err = max(term_err, abs(complex(linear.D[1].poly[0]) - 1.0 / cfg.p))
@@ -450,9 +442,7 @@ def _parse_range(spec: str, name: str) -> np.ndarray:
     except ValueError as exc:
         raise ConfigError(f"{name} must look like start:stop:count, got {spec!r}") from exc
     _check_finite(name, spec, start, stop)
-    if count < 1:
-        raise ConfigError(f"{name} needs at least one sample")
-    _check_limit(count, name)
+    _check_range(f"{name} sample count", count, 1, MAX_REPORT_CELLS)
     return np.linspace(start, stop, count)
 
 
@@ -476,7 +466,7 @@ def _cmd_eval(cfg: RunConfig, args):
     for mask in range(1 << dim):
         columns.append(f"{blade_name(mask)}_re")
         columns.append(f"{blade_name(mask)}_im")
-    _check_limit(rs.size * ts.size * len(columns), "report")
+    _check_range("report cells", rs.size * ts.size * len(columns), 1, MAX_REPORT_CELLS)
     rows = []
     for r in rs:
         for t in ts:
@@ -501,15 +491,13 @@ def _cmd_eval(cfg: RunConfig, args):
 
 
 def _cmd_kernel_table(cfg: RunConfig, args):
-    if cfg.q < 2:
-        raise ConfigError("kernel-table needs q >= 2")
+    _check_range("kernel-table q", cfg.q, 2, math.inf)
     _check_finite("--tol", args.tol, args.tol)
-    if args.tol < 0:
-        raise ConfigError(f"--tol must be >= 0, got {args.tol!r}")
+    _check_range("--tol", args.tol, 0, math.inf)
     rs = _parse_range(args.grid_r, "--grid-r")
     thetas = _parse_range(args.grid_theta, "--grid-theta")
     columns = ["r", "theta", "I_closed", "I_oracle", "abs_diff"]
-    _check_limit(rs.size * thetas.size * len(columns), "report")
+    _check_range("report cells", rs.size * thetas.size * len(columns), 1, MAX_REPORT_CELLS)
     if args.y is None:
         y = np.zeros(cfg.q)
     else:
@@ -522,8 +510,8 @@ def _cmd_kernel_table(cfg: RunConfig, args):
     _check_range("grid |x+y|", math.sqrt(float(max(rs)) ** 2 + float(np.dot(y, y))),
                  0, BALL_RADIUS_MAX)
     rule = sphere_rule(cfg.p, min(cfg.res, 64))
-    _check_limit(rs.size * thetas.size * rule.points.shape[0], "kernel-table",
-                 MAX_RECONSTRUCT_WORK, "row x node evaluations")
+    _check_range("kernel-table row x node evaluations",
+                 rs.size * thetas.size * rule.points.shape[0], 1, MAX_RECONSTRUCT_WORK)
     rows = []
     failed = False
     for r in rs:
@@ -556,11 +544,10 @@ def _reconstruct_points(cfg: RunConfig, args):
 
 
 def _cmd_reconstruct(cfg: RunConfig, args):
-    if args.num_points < 1:
-        raise ConfigError(f"need --num-points >= 1, got {args.num_points}")
+    _check_range("--num-points", args.num_points, 1, math.inf)
     columns = _point_columns(cfg) + list(_RECONSTRUCTION_ERRORS)
     n_points = len(args.points) if args.points else args.num_points
-    _check_limit(n_points * len(columns), "report")
+    _check_range("report cells", n_points * len(columns), 1, MAX_REPORT_CELLS)
     field_name = args.field
     fields = _axial_fields(cfg)
     if field_name not in fields:
@@ -568,7 +555,7 @@ def _cmd_reconstruct(cfg: RunConfig, args):
     field = fields[field_name]
     hrule, ball = hemisphere_rule(cfg.p, cfg.q, min(cfg.res, 48)), _ball_rule(cfg)
     nodes = hrule.theta_nodes.size * hrule.nu.points.shape[0] + ball.points.shape[0]
-    _check_limit(n_points * nodes, "reconstruct", MAX_RECONSTRUCT_WORK, "point x node evaluations")
+    _check_range("reconstruct point x node evaluations", n_points * nodes, 1, MAX_RECONSTRUCT_WORK)
     pts = _reconstruct_points(cfg, args)
     oracle = FullBallCauchy(field.boundary_value, ball)
     rows = []

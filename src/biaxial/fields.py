@@ -13,6 +13,7 @@ biaxial.planewave's exponential wave.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -35,16 +36,14 @@ def beta(j: int, p: int) -> int:
 
     -j for even j, -(j + p - 1) for odd j.
     """
-    if j < 1:
-        raise ValueError(f"need j >= 1, got {j}")
+    _check_range("j", j, 1, math.inf)
     return -j if j % 2 == 0 else -(j + p - 1)
 
 
 def _unit(s) -> np.ndarray:
     s = np.array(s, dtype=np.float64)
     norm = float(np.linalg.norm(s))
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ValueError(f"direction must be a unit vector, |s| = {norm}")
+    _check_range("|s| of the unit vector s", norm, 1.0 - 1e-9, 1.0 + 1e-9)
     s.setflags(write=False)
     return s
 

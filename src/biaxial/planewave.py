@@ -48,8 +48,7 @@ def exp_coeffs_closed(j: int, p: int) -> float:
     Even j gives c_j = Gamma(p/2) / (2^j Gamma(j/2+1) Gamma(j/2+p/2)),
     odd j gives d_j = Gamma(p/2) / (2^j Gamma((j+1)/2) Gamma((j+1)/2+p/2)).
     """
-    if j < 0:
-        raise ValueError(f"need j >= 0, got {j}")
+    _check_range("j", j, 0, math.inf)
     half_p = 0.5 * p
     return math.exp(
         math.lgamma(half_p) - j * math.log(2.0)

@@ -23,8 +23,7 @@ MAX_SPHERE_NODES = 1_000_000
 
 def sphere_area(ndim: int) -> float:
     """Surface measure of the unit sphere S^{ndim-1} in R^ndim."""
-    if ndim < 1:
-        raise ValueError(f"ambient dimension must be >= 1, got {ndim}")
+    _check_range("ambient dimension ndim", ndim, 1, math.inf)
     return 2.0 * math.pi ** (0.5 * ndim) / math.gamma(0.5 * ndim)
 
 
@@ -52,11 +51,7 @@ def gauss_jacobi_rule(n: int, alpha: float) -> IntervalRule:
     Exact for polynomials up to degree 2n-1; nodes are symmetrized so odd
     monomials integrate to zero at machine precision.
     """
-    if n < 1:
-        raise ValueError(f"need at least one node, got {n}")
-    if n * n > MAX_SPHERE_NODES:
-        raise ValueError(f"gauss_jacobi_rule({n}, {alpha}) needs a {n} x {n} Jacobi matrix, "
-                         f"above the limit of {MAX_SPHERE_NODES} entries")
+    _check_range("Jacobi node count n", n, 1, math.isqrt(MAX_SPHERE_NODES))
     if not alpha > -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {alpha}")
     mu0 = math.sqrt(math.pi) * math.gamma(alpha + 1.0) / math.gamma(alpha + 1.5)
@@ -102,13 +97,10 @@ def sphere_rule(d: int, resolution: int = 64) -> SphereRule:
     anything is allocated.
     """
     _check_range("sphere dimension d", d, 1, 6)
-    if d > 1 and resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    if resolution ** (d - 1) > MAX_SPHERE_NODES:
-        raise ValueError(
-            f"sphere_rule({d}, {resolution}) needs {resolution ** (d - 1)} nodes, "
-            f"above the limit of {MAX_SPHERE_NODES}"
-        )
+    if d > 1:
+        _check_range("resolution", resolution, 2, math.inf)
+    _check_range(f"node count of sphere_rule({d}, {resolution})", resolution ** (d - 1), 1,
+                 MAX_SPHERE_NODES)
     if d == 1:
         return SphereRule(1, np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
     if d == 2:
@@ -151,8 +143,8 @@ class HemisphereRule:
 
 def hemisphere_rule(p: int, q: int, resolution: int = 64) -> HemisphereRule:
     """Tensor rule over [0, pi/2] x S^{q-1} with folded weights."""
-    if p < 2 or q < 2:
-        raise ValueError(f"need p, q >= 2, got p={p}, q={q}")
+    _check_range("p", p, 2, math.inf)
+    _check_range("q", q, 2, math.inf)
     base = gauss_jacobi_rule(resolution, 0.0)
     theta = 0.25 * math.pi * (base.nodes + 1.0)
     wt = 0.25 * math.pi * base.weights

@@ -30,6 +30,9 @@ HYP2F1_MAX_Z = 0.999
 # Of the splits 0.5 and 0.7 to 0.8 in steps of 0.025, 0.8 took the least
 # CPU time on the 2F1 calls of the bench reconstruct workload.
 HYP2F1_SERIES_MAX_Z = 0.8
+# Where 1 - |t| is at most this, gegenbauer sums its terminating 2F1: the
+# recurrence misses 1e-14 C_k(1) for 1 - t up to 4.2e-4 (m = 3 to 5, k >= 21).
+_GEGENBAUER_EDGE = 2.0 ** -7
 
 
 class ConvergenceError(RuntimeError):
@@ -106,9 +109,14 @@ def gegenbauer(k: int, lam: float, t):
     """Gegenbauer polynomial C_k^lam(t) by the three-term recurrence.
 
     Accepts scalar or array t in [-1, 1]; lam must be positive (the
-    lam -> 0 limit is exposed through gegenbauer_normalized).  For
-    lam = m/2 - 1, m in [3, 8], the absolute error against mpmath is below
-    1e-14 C_k^lam(1), the largest |C_k^lam| on [-1, 1] (measured: 2.6e-15).
+    lam -> 0 limit is exposed through gegenbauer_normalized).  The
+    recurrence rounds each product by t like a relative change of t, and
+    C_k' is largest near t = +-1, so within _GEGENBAUER_EDGE of +-1 the
+    terminating sum C_k^lam(t) = C_k^lam(1) 2F1(-k, k + 2 lam; lam + 1/2;
+    (1 - t)/2) (DLMF 18.5.7, 18.7.1) serves, with C_k(-t) = (-1)^k C_k(t).
+    For lam = m/2 - 1, m in [3, 8], the absolute error against mpmath is below
+    1e-14 C_k^lam(1), the largest |C_k^lam| on [-1, 1] (measured: 3.7e-15;
+    4.6e-16 within _GEGENBAUER_EDGE of +-1).
     """
     _check_range("degree", k, 0, 30)
     if not lam > 0:
@@ -121,6 +129,19 @@ def gegenbauer(k: int, lam: float, t):
     cur = 2.0 * lam * t
     for n in range(2, k + 1):
         prev, cur = cur, (2.0 * t * (n + lam - 1.0) * cur - (n + 2.0 * lam - 2.0) * prev) / n
+    edge = np.abs(t) >= 1.0 - _GEGENBAUER_EDGE
+    if edge.any():
+        near = t[edge]
+        x = 0.5 * (1.0 - np.abs(near))
+        term = np.ones_like(x)
+        total = term.copy()
+        for j in range(k):
+            term *= (j - k) * (j + k + 2.0 * lam) / ((j + lam + 0.5) * (j + 1.0))
+            term *= x
+            total += term
+        total *= pochhammer(2.0 * lam, k) / math.factorial(k)
+        cur = np.asarray(cur)  # a 0-d t leaves a numpy scalar
+        cur[edge] = np.where(near < 0, (-1) ** k * total, total)
     return cur if cur.ndim else float(cur)
 
 
@@ -131,8 +152,7 @@ def gegenbauer_normalized(k: int, m: int, t):
     cos(k arccos t).  For m in [2, 8] the absolute error against mpmath is
     below 5e-14 (measured: 1.3e-14, from the arccos at m = 2, k = 30).
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    _check_range("m", m, 2, math.inf)
     if m == 2:
         t = np.asarray(t, dtype=np.float64)
         out = np.cos(k * np.arccos(np.clip(t, -1.0, 1.0)))

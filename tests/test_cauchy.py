@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from biaxial.algebra import BiaxialPoint, Multivector
 from biaxial.cauchy import (
+    _MIN_BOUNDARY_DISTANCE,
     FullBallCauchy,
     KernelParams,
     _inverse_half_power,
@@ -26,6 +28,10 @@ from per_node_reference import kernel_phi_quadrature
 
 S2 = np.array([1.0, 0.0])
 NU = np.array([0.0, 1.0])
+# The refusal of a point near a boundary node; the group is the smallest
+# squared distance.
+NEAR_SINGULAR = (re.escape("squared distance to a boundary node must lie in "
+                           f"[{_MIN_BOUNDARY_DISTANCE ** 2}, inf], got ") + r"(\S+)")
 
 
 def test_kernel_at_r_zero_is_sphere_measure_over_tau():
@@ -127,10 +133,11 @@ def test_kernel_oracle_stack_keeps_the_singular_and_rule_checks():
     rule = sphere_rule(2, 16)
     x = np.zeros(2)
     fine = np.array([0.1, -0.2])
-    with pytest.raises(ValueError, match="near-singular") as single:
+    with pytest.raises(ValueError, match=f"^{NEAR_SINGULAR}$") as single:
         kernel_I_oracle(x, NU, 0.5 * math.pi, NU, rule)
+    assert 0 <= float(re.fullmatch(NEAR_SINGULAR, str(single.value))[1]) < 1e-30
     for stack in ([NU, fine, fine], [fine, NU, fine], [fine, fine, NU]):
-        with pytest.raises(ValueError, match="near-singular") as stacked:
+        with pytest.raises(ValueError, match=f"^{NEAR_SINGULAR}$") as stacked:
             kernel_I_oracle(x, np.array(stack), 0.5 * math.pi, NU, rule)
         assert str(stacked.value) == str(single.value)
     for y in (fine, np.array([fine, fine])):
@@ -164,8 +171,9 @@ def test_kernel_oracle_exact_hit_rounded_below_zero_is_near_singular(p, res):
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="near-singular"):
+                with pytest.raises(ValueError, match=f"^{NEAR_SINGULAR}$") as hit:
                     kernel_I_oracle(x, math.sin(theta) * NU, theta, NU, rule)
+                assert abs(float(re.fullmatch(NEAR_SINGULAR, str(hit.value))[1])) < 1e-14
 
 
 @pytest.mark.parametrize("pq", [(2, 2), (3, 2), (2, 3), (3, 3)])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -228,6 +229,11 @@ def test_verify_cauchy_dim_8_exits_before_building_omega(monkeypatch, capsys):
     assert 6 not in requested
 
 
+# The over-budget rule each command below asks for, by its node count.
+_OVER_BUDGET_RULES = {48 ** 4: "sphere_rule(5, 48)", 64 ** 5: "sphere_rule(6, 64)",
+                      40 ** 5: "sphere_rule(6, 40)"}
+
+
 @pytest.mark.parametrize("args, nodes", [
     (["verify", "planewave", "--p", "5", "--q", "3"], 48 ** 4),
     (["verify", "kernel", "--p", "6", "--q", "2"], 64 ** 5),
@@ -239,19 +245,20 @@ def test_over_budget_rule_exits_2_before_allocation(refuse_polar_rules, capsys, 
 
     assert run(args) == 2
     error = json.loads(capsys.readouterr().err)["error"]
-    assert f"needs {nodes} nodes, above the limit of {quadrature.MAX_SPHERE_NODES}" in error
+    assert error == (f"node count of {_OVER_BUDGET_RULES[nodes]} must lie in "
+                     f"[1, {quadrature.MAX_SPHERE_NODES}], got {nodes}")
 
 
 @pytest.mark.parametrize("args, message", [
     # Two stored terms leave no C_2 coefficient to check.
-    (["verify", "ck", "--J", "1"], "ck suite needs J >= 2, got J=1"),
+    (["verify", "ck", "--J", "1"], "ck suite J must lie in [2, inf], got 1"),
     # The Bessel-J series is accurate only up to z = 12.
     (["eval", "exp-hpw", "--grid-r", "0:40:3"], "argument must lie in [0, 12.0], got 20.0"),
 ])
 def test_inputs_beyond_a_limit_exit_2_naming_it(tmp_path, capsys, args, message):
     out = tmp_path / "never.json"
     assert run(args + ["--out", str(out)]) == 2
-    assert message in json.loads(capsys.readouterr().err)["error"]
+    assert json.loads(capsys.readouterr().err)["error"] == message
     assert not out.exists()
 
 
@@ -268,7 +275,7 @@ def test_reconstruct_without_points_exits_2_before_building_rules(monkeypatch, t
     out = tmp_path / "never.json"
     assert run(["reconstruct", "--num-points", count, "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
-    assert error == f"need --num-points >= 1, got {count}"
+    assert error == f"--num-points must lie in [1, inf], got {count}"
     assert not out.exists()
 
 
@@ -371,7 +378,8 @@ def test_over_budget_jacobi_rule_exits_2_naming_it(tmp_path, capsys):
     out = tmp_path / "never.json"
     assert run(["verify", "funkhecke", "--p", "2", "--res", "1001", "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
-    assert "1001 x 1001" in error and str(quadrature.MAX_SPHERE_NODES) in error
+    assert error == (f"Jacobi node count n must lie in "
+                     f"[1, {math.isqrt(quadrature.MAX_SPHERE_NODES)}], got 1001")
     assert not out.exists()
 
 
@@ -396,7 +404,7 @@ def test_oversized_tables_exit_2_before_they_are_built(monkeypatch, tmp_path, ca
     out = tmp_path / "never.json"
     assert run(args + ["--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
-    assert error == f"report needs {cells} cells, above the limit of {cli.MAX_REPORT_CELLS}"
+    assert error == f"report cells must lie in [1, {cli.MAX_REPORT_CELLS}], got {cells}"
     assert not out.exists()
 
 
@@ -422,8 +430,8 @@ def test_reconstruct_over_the_work_budget_exits_2_before_the_sweep(monkeypatch, 
     out = tmp_path / "never.json"
     assert run(base + ["--num-points", str(largest + 1), "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
-    assert error == (f"reconstruct needs {(largest + 1) * per_point} point x node evaluations, "
-                     f"above the limit of {cli.MAX_RECONSTRUCT_WORK}")
+    assert error == (f"reconstruct point x node evaluations must lie in "
+                     f"[1, {cli.MAX_RECONSTRUCT_WORK}], got {(largest + 1) * per_point}")
     assert not out.exists()
 
 
@@ -442,8 +450,8 @@ def test_kernel_table_over_the_work_budget_exits_2_before_the_oracle(monkeypatch
     out = tmp_path / "never.json"
     assert run(base + ["--grid-r", f"0:0.5:{largest + 1}", "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
-    assert error == (f"kernel-table needs {(largest + 1) * nodes} row x node evaluations, "
-                     f"above the limit of {cli.MAX_RECONSTRUCT_WORK}")
+    assert error == (f"kernel-table row x node evaluations must lie in "
+                     f"[1, {cli.MAX_RECONSTRUCT_WORK}], got {(largest + 1) * nodes}")
     assert not out.exists()
 
 
@@ -464,5 +472,6 @@ def test_oversized_sample_counts_exit_2_before_allocation(monkeypatch, tmp_path,
     out = tmp_path / "never.json"
     assert run(args + [option, "0:0.1:1000000000", "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
-    assert error == f"{option} needs 1000000000 cells, above the limit of {cli.MAX_REPORT_CELLS}"
+    assert error == (f"{option} sample count must lie in [1, {cli.MAX_REPORT_CELLS}], "
+                     f"got 1000000000")
     assert not out.exists()

@@ -168,6 +168,9 @@ def _gegenbauer_mpmath(k, lam, t):
        ts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
 @example(m=2, k=30, ts=[-0.7682687750584594])
 @example(m=8, k=27, ts=[0.998051764647875, 0.0])
+# Next to t = +-1 the recurrence missed 1e-14 C_k(1) (1.02e-14 here).
+@example(m=3, k=21, ts=[1.0 - 2.0 ** -53])
+@example(m=3, k=21, ts=[-(1.0 - 2.0 ** -53)])
 def test_gegenbauer_matches_mpmath(m, k, ts):
     # The kernels' weights lam = m/2 - 1 for spheres S^{m-1}, m <= p + q <= 8.
     t = np.array(ts)
