@@ -544,7 +544,8 @@ def _reconstruct_points(cfg: RunConfig, args):
 
 
 def _cmd_reconstruct(cfg: RunConfig, args):
-    _check_range("--num-points", args.num_points, 1, math.inf)
+    if not args.points:
+        _check_range("--num-points", args.num_points, 1, math.inf)
     columns = _point_columns(cfg) + list(_RECONSTRUCTION_ERRORS)
     n_points = len(args.points) if args.points else args.num_points
     _check_range("report cells", n_points * len(columns), 1, MAX_REPORT_CELLS)

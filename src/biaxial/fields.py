@@ -12,10 +12,9 @@ ck_bessel_form, the closed extension of exp(<y, s>), is
 biaxial.planewave's exponential wave.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -84,11 +83,7 @@ class ExpLinear:
         return bool(np.all(self.poly == 0))
 
     def value(self, t: float) -> complex:
-        acc = 0.0 + 0.0j
-        for c in self.poly[::-1]:
-            acc = acc * t + c
-        lam = complex(self.lam)
-        return acc * cmath.exp(lam * t) if lam != 0 else acc
+        return _closed_class(self.poly[::-1, None], np.array([complex(self.lam)]), t)[0]
 
     def d_dt(self) -> "ExpLinear":
         deriv = self.poly[1:] * np.arange(1, self.poly.size)
@@ -102,6 +97,16 @@ class ExpLinear:
 
     def scale(self, c) -> "ExpLinear":
         return ExpLinear(self.lam, self.s, self.poly * c)
+
+
+def _closed_class(coeffs: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
+    """P(t) exp(lam t) of stacked profiles: coeffs (K, ...) holds each P highest
+    power first and lam (...) the rates; a zero rate takes no exponential."""
+    acc = reduce(lambda v, c: v * t + c, coeffs, 0j)
+    growth = np.exp(lam * t)
+    if np.isinf(growth).any():
+        raise OverflowError("exp(lam t) overflows")
+    return np.where(lam != 0, acc * growth, acc)
 
 
 @dataclass(frozen=True)
@@ -251,6 +256,8 @@ class PlaneWaveSeries:
         object.__setattr__(self, "s", _unit(self.s))
         if len(self.C) != len(self.D):
             raise ValueError("C and D profile lists must have equal length")
+        if any(g.s.tolist() != self.s.tolist() for g in self.C + self.D):
+            raise ValueError(f"every profile must lie on the series' s = {self.s.tolist()}")
 
     @property
     def truncation(self) -> int:
@@ -261,6 +268,19 @@ class PlaneWaveSeries:
         # The (C_j, D_j) pair of each stored index.  The benchmark's trace
         # hook (bench/tracing.py) counts series terms as len(profiles).
         return tuple(zip(self.C, self.D))
+
+    @cached_property
+    def _table(self):
+        """Coefficients (K, 2, n), highest power first, and rates (2, n) of the n pairs:
+        C_j is column [:, 0, j], D_j column [:, 1, j], and a zero profile a zero column."""
+        K = max((g.poly.size for g in self.C + self.D), default=1)
+        coeffs = np.zeros((K, 2, self.truncation), dtype=np.complex128)
+        rates = np.zeros((2, self.truncation), dtype=np.complex128)
+        for j, pair in enumerate(self.profiles):
+            for i, g in enumerate(pair):
+                coeffs[K - g.poly.size:, i, j] = g.poly[::-1]
+                rates[i, j] = 0.0 if g.is_zero else g.lam
+        return coeffs, rates
 
 
 def hpw_recurrence(c0: ExpLinear, d0: ExpLinear, p: int, q: int, J: int = 40) -> PlaneWaveSeries:
@@ -328,24 +348,24 @@ def _series_pair(series: PlaneWaveSeries, pt: BiaxialPoint, r: float):
 
     x^j = (-1)^(j//2) r^j (x/r)^(j%2), so A (B) is c + d s with c and d the
     sums of (-1)^(j//2) r^j C_j(t) and D_j(t), t = <y, s>, over the even
-    (odd) j; zero profiles are not evaluated.
+    (odd) j: one pass over the series' table, each parity summed in index order.
     """
     t = float(np.dot(pt.y, series.s))
-    c_sums, d_sums = [0j, 0j], [0j, 0j]
-    c = d = 0.0
-    for j, (cj, dj) in enumerate(zip(series.C, series.D)):
-        weight = (-1.0 if (j // 2) % 2 else 1.0) * r ** j
-        c = 0.0 if cj.is_zero else cj.value(t)
-        d = 0.0 if dj.is_zero else dj.value(t)
-        c_sums[j % 2] += weight * c
-        d_sums[j % 2] += weight * d
+    values = _closed_class(*series._table, t)
+    n = values.shape[1]
+    # Two zero terms lead, so both sums start at zero, and an odd n ends in a zero;
+    # the weights take libm's r ** j, which numpy's array power does not round alike.
+    terms = np.zeros((2, 2 + n + n % 2), dtype=np.complex128)
+    terms[:, 2:2 + n] = values * [(-1.0 if (j // 2) % 2 else 1.0) * r ** j for j in range(n)]
+    c_sums, d_sums = np.cumsum(terms.reshape(2, -1, 2), axis=1)[:, -1]
     # Added onto zeros, as a sum of terms is, so that no coefficient is -0.0.
     out = np.zeros((2, 1 << pt.dim), dtype=np.complex128)
     out[:, 0] = c_sums
     out += np.multiply.outer(d_sums, embed_vector(pt.dim, pt.p, series.s).coeffs)
     # Term j puts C_j on 1 or r^(j-1) x and D_j on s or r^(j-1) x s, whose
     # coefficients are x_i s_k; an empty series has c = d = 0.
-    j = max(series.truncation - 1, 0)
+    c, d = values[:, -1] if n else (0.0, 0.0)
+    j = max(n - 1, 0)
     size = r ** j if j % 2 == 0 else r ** (j - 1) * float(np.max(np.abs(pt.x)))
     tail = size * max(abs(c), abs(d) * float(np.max(np.abs(series.s))))
     return Multivector._wrap(pt.dim, out[0]), Multivector._wrap(pt.dim, out[1]), tail

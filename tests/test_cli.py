@@ -279,6 +279,20 @@ def test_reconstruct_without_points_exits_2_before_building_rules(monkeypatch, t
     assert not out.exists()
 
 
+def test_reconstruct_checks_num_points_only_without_points(tmp_path, capsys):
+    # Given points, the count is never used, so no value of it is refused.
+    out = tmp_path / "rec.json"
+    base = ["reconstruct", "--field", "constant", "--res", "8", "--num-points", "0",
+            "--out", str(out)]
+    assert run(base + ["--points", "0.3,0;0,0"]) == 0
+    assert len(json.loads(out.read_text())["rows"]) == 1
+    out.unlink()
+    assert run(base) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "--num-points must lie in [1, inf], got 0"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, option", [
     (["verify", "vekua", "--s", "nan,1"], "--s"),
     (["verify", "vekua", "--s", "inf,1"], "--s"),
@@ -342,10 +356,12 @@ def test_eval_at_tiny_radius_gives_the_axis_limit(tmp_path, field, p, stop):
 @pytest.mark.parametrize("args, point", [
     # exp(800) overflows to inf, and inf times a zero blade to NaN.
     (["eval", "exp-hpw", "--grid-t", "0:800:2"], "|x| = 0.0, t = 800.0"),
-    # cmath.exp raises OverflowError.
+    # The series' exp(800) overflows, which raises OverflowError.
     (["eval", "ck", "--grid-t", "0:800:2"], "|x| = 0.0, t = 800.0"),
     # (1e40)^12 overflows the profile's float arithmetic.
     (["eval", "poly", "--k", "12", "--grid-t", "0:1e40:2"], "|x| = 0.0, t = 1e+40"),
+    # The series' exp(800) off the axis too, rather than an infinite series tail.
+    (["eval", "ck", "--grid-r", "0.5:1:2", "--grid-t", "0:800:2"], "|x| = 0.5, t = 800.0"),
 ])
 def test_eval_overflow_exits_2_naming_the_first_grid_point(tmp_path, capsys, args, point):
     out = tmp_path / "never.json"

@@ -89,6 +89,18 @@ def _close_to_planewave_reference(series, pt):
 # off the axis, whose pair has only D nonzero.
 @example((3, 2, ExpLinear.exponential(S2), None, 1, BiaxialPoint(3, 2, np.zeros(3), [0.3, -0.2])))
 @example((2, 3, ExpLinear.exponential(S3), None, 3, BiaxialPoint(2, 3, [0.3, 0.2], [0.1, 0.4, -0.5])))
+# The two largest deviations from the references, within the 1e-15 bound,
+# that a targeted search of this strategy found (0.56 and 0.53 of the bound).
+@example((2, 2, ExpLinear(complex(-0.8088956165676069, 0.5), [0.999949903614523, 0.01000950854468992],
+                          [0.884573231187519, -7.507684615629055e-131, -8.356701143699286e-199,
+                           -1.9971113198578578]),
+          None, 10, BiaxialPoint(2, 2, [0.7869788781193208, -0.7641069683825128],
+                                 [-0.4987197159330553, 0.26461084653797984])))
+@example((3, 3, ExpLinear(0.0, [0.27784013692723497, 0.3072327807271871, -0.9101718940721557],
+                          [0.012254859703461962, 1.0003774777582937, -1.0218328941585628,
+                           0.5459361998883812, -2.0]),
+          None, 40, BiaxialPoint(3, 3, [0.48277990101830376, 0.5338530750432773, -1.5815306664813424],
+                                 [8.226824803560761e-89, -0.5909143368560741, 0.5112806741248394])))
 def test_ck_extension_matches_reference_evaluators(data):
     p, q, f0, _, J, pt = data
     series = ck_extend(f0, p, q, J=J)
@@ -119,8 +131,25 @@ def test_ck_extension_matches_reference_evaluators(data):
     _close_to_planewave_reference(series, pt)
 
 
+_S_PIN = [0.46906990863446285, -0.8831610390034519]
+_POLY_PIN = [0.21242390605168027, -1.1499731589768023, 1.080613176752479, -0.18639671640839195,
+             1.4876776183751481]
+_S5_PIN = [-0.6669136292193508, -0.7451350288112043]
+
+
 @settings(max_examples=100, deadline=None)
 @given(case(with_d0=True))
+# The two largest deviations from the reference, within the 1e-15 bound,
+# that a targeted search of this strategy found (0.89 and 0.86 of the bound).
+@example((2, 2, ExpLinear(0.0, _S_PIN, _POLY_PIN), ExpLinear(0.0, _S_PIN, _POLY_PIN), 40,
+          BiaxialPoint(2, 2, [0.3668985313807781, 1.4188831374316682], [0.0, 0.3856683648743987])))
+@example((5, 2, ExpLinear(0.0, _S5_PIN, [0.3117487621970203]),
+          ExpLinear(complex(0.9, -1.0), _S5_PIN,
+                    [-1.4277379991362, -1.9689047100710022, -2.0, 1.8916493927009137,
+                     1.4061375965240677]),
+          40, BiaxialPoint(5, 2, [0.4738122973874045, 2.0125250800614977e-07, 2.61525972426664e-210,
+                                  1.6882283979834218e-05, -1.4172632591120884],
+                           [0.5, 1.2182143800647076e-272])))
 def test_plane_wave_pairs_match_reference_evaluator(data):
     p, q, c0, d0, J, pt = data
     series = hpw_recurrence(c0, d0, p, q, J=J)
@@ -165,6 +194,13 @@ def test_tail_of_a_pair_with_only_d_nonzero():
     t = float(np.dot(pt.y, s))
     assert tail == abs(exp.value(t)) * 0.8
     assert tail == float(np.max(np.abs(value.coeffs)))
+
+
+def test_series_refuses_a_profile_off_its_direction():
+    # s comes from C_0 = 0 on e_3's direction; D_0 = 1 lies on [0, 1], so
+    # its s term would land on e_3 (blade 4) instead of e_4 (blade 8).
+    with pytest.raises(ValueError, match=r"every profile must lie on the series' s = \[1.0, 0.0\]"):
+        hpw_recurrence(ExpLinear.zero([1, 0]), ExpLinear.polynomial([0, 1], [1.0]), 2, 2, J=3)
 
 
 @pytest.mark.parametrize("coeffs, J", [([0.0, 1.0], 2), ([0.0, 0.0, 1.0], 3), ([1.0, -1.0, 2.0], 3)])
