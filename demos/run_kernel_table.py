@@ -17,13 +17,14 @@ y = np.array([0.1, 0.2])
 print(f"p={p}, q={q}, y={y}, nu={nu}")
 print()
 print("r     theta   I_closed           I_oracle           |diff|")
+thetas = np.array([0.0, 0.5, 1.0, 1.5])
 for r in (0.0, 0.2, 0.4, 0.6):
-    for theta in (0.0, 0.5, 1.0, 1.5):
-        kp = KernelParams(p, q, r, y, theta, nu)
-        closed = kernel_I_closed(kp)
-        x = np.zeros(p)
-        x[0] = r
-        oracle = kernel_I_oracle(x, y, theta, nu, rule)
+    x = np.zeros(p)
+    x[0] = r
+    # One oracle pass over the rule serves the whole theta grid of this r.
+    oracles = kernel_I_oracle(x, y, thetas, nu, rule)
+    for theta, oracle in zip(thetas.tolist(), oracles.tolist()):
+        closed = kernel_I_closed(KernelParams(p, q, r, y, theta, nu))
         print(f"{r:3.1f}   {theta:3.1f}    {closed:.12e} {oracle:.12e} {abs(closed - oracle):.2e}")
 print()
 

@@ -176,32 +176,37 @@ def kernel_phi(kp: KernelParams) -> float:
     return float(_kernel_phi(kp.p, kp.q, kp.tau, kp.c2))
 
 
-def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
+def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float | np.ndarray, nu: np.ndarray,
                     rule: SphereRule):
     """Direct S^{p-1} quadrature of the kernel integral.
 
     Integrates |x + y - cos(theta) omega - sin(theta) nu|^{-(p+q)} over
     omega; depends on x only through |x|, which the zonal-invariance tests
     exercise.  y of shape (q,) gives a float; a stack (K, q) gives the K
-    floats as an array.  theta and nu must be a hemisphere node, as
-    KernelParams requires: theta in [0, pi/2] and nu a unit vector of
-    shape (q,).
+    floats as an array.  theta may also be a 1-D array of T angles, which
+    prepends an axis of length T: (T,) for one y, (T, K) for a stack.
+    Every theta and nu must be a hemisphere node, as KernelParams requires:
+    theta in [0, pi/2] and nu a unit vector of shape (q,); every theta is
+    checked before the first node is touched.
 
     The rule is walked in blocks of _ORACLE_BLOCK nodes, so that the (K,
     block) rows stay in L2 cache through every pass over them.  With
-    |omega| = 1 to rounding and dy = y - sin(theta) nu,
+    |omega| = 1 to rounding, c = cos(theta) and dy = y - sin(theta) nu,
       |x - c omega|^2 + |dy|^2 = (|x|^2 + c^2 + |dy|^2) - 2c <x, omega>,
-    so one matvec <x, omega> per block serves every y.  The expansion
-    rounds apart from the direct square and can put an exact zero slightly
-    below 0, which the distance check refuses like any tiny distance,
-    before any reciprocal is taken.  The squared distances go to the power
-    -(p+q)/2 through _inverse_half_power's integer ladder, and each y row's
-    dot with the block's weights adds to that row's running sum.  Each row
-    is formed from the same floats as its single-y call and summed in the
-    same order, so a stack gives the per-y floats bit for bit.
+    so one matvec <x, omega> per block serves every theta and every y.
+    Each theta's K rows are written into two (K, block) buffers that live
+    for the whole call.  The expansion rounds apart from the direct square
+    and can put an exact zero slightly below 0, which the distance check
+    refuses like any tiny distance, before any reciprocal is taken.  The
+    squared distances go to the power -(p+q)/2 through
+    _inverse_half_power's integer ladder, and each row's dot with the
+    block's weights adds to that row's running sum.  Each row is formed
+    from the same floats as its single-theta, single-y call and summed in
+    the same order, so a battery gives the per-call floats bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     ys = np.asarray(y, dtype=np.float64)
+    thetas = np.asarray(theta, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
     p = x.size
     q = ys.shape[-1]
@@ -209,23 +214,41 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float, nu: np.ndarray,
         raise ValueError("oracle rule must live on S^{p-1}")
     if nu.shape != (q,):
         raise ValueError(f"nu must have the shape ({q},) of y's last axis, got {nu.shape}")
-    _check_nodes(theta, nu)
-    c, s = math.cos(theta), math.sin(theta)
-    dy = ys.reshape(-1, q) - s * nu
-    x2 = float(np.dot(x, x)) + c * c
-    offsets = np.array([x2 + float(np.dot(row, row)) for row in dy])[:, None]
-    sums = np.zeros(len(dy))
+    if thetas.ndim > 1:
+        raise ValueError(f"theta must be a float or a 1-D array, got shape {thetas.shape}")
+    _check_nodes(thetas, nu)
+    one_y = ys.ndim == 1
+    ys = ys.reshape(-1, q)
+    x2 = float(np.dot(x, x))
+    cosines = []
+    offsets = []
+    for th in thetas.reshape(-1).tolist():
+        c, s = math.cos(th), math.sin(th)
+        dy = ys - s * nu
+        cosines.append(c)
+        offsets.append(np.array([x2 + c * c + float(np.dot(row, row)) for row in dy])[:, None])
+    sums = np.zeros((len(cosines), len(ys)))
+    block = min(_ORACLE_BLOCK, rule.weights.size)
+    scaled = np.empty(block)
+    dist2 = np.empty((len(ys), block))
+    work = np.empty_like(dist2)
     for start in range(0, rule.weights.size, _ORACLE_BLOCK):
         t = rule.points[start:start + _ORACLE_BLOCK] @ x
-        t *= -2.0 * c
-        dist2 = offsets + t
-        _check_range("squared distance to a boundary node", float(np.min(dist2, initial=np.inf)),
-                     _MIN_BOUNDARY_DISTANCE ** 2, math.inf)
-        _inverse_half_power(dist2, p + q, np.empty_like(dist2))
+        n = t.size
         weights = rule.weights[start:start + _ORACLE_BLOCK]
-        for i, row in enumerate(dist2):
-            sums[i] += np.dot(weights, row)
-    return float(sums[0]) if ys.ndim == 1 else sums
+        for c, offset, row_sums in zip(cosines, offsets, sums):
+            np.multiply(t, -2.0 * c, out=scaled[:n])
+            d = np.add(offset, scaled[:n], out=dist2[:, :n])
+            _check_range("squared distance to a boundary node", float(np.min(d, initial=np.inf)),
+                         _MIN_BOUNDARY_DISTANCE ** 2, math.inf)
+            _inverse_half_power(d, p + q, work[:, :n])
+            for i, row in enumerate(d):
+                row_sums[i] += np.dot(weights, row)
+    if one_y:
+        sums = sums[:, 0]
+    if thetas.ndim:
+        return sums
+    return float(sums[0]) if one_y else sums[0]
 
 
 def _live_columns(rows):

@@ -278,7 +278,7 @@ _PSI_BATTERY = (
     ("one", lambda t: np.ones_like(t)),
     ("t", lambda t: t),
     ("t2", lambda t: t ** 2),
-    ("t3", lambda t: t ** 3),
+    ("t3", lambda t: t * t * t),
     ("exp", np.exp),
 )
 
@@ -288,9 +288,9 @@ def _suite_funkhecke(cfg: RunConfig, rng: SplitMix64):
     _check_range("funkhecke suite p", m, 2, 5)
     # Product-rule node counts grow like res^(m-1); cap the high dims.
     rules = _funk_hecke_rules(m, min(cfg.res, {2: cfg.res, 3: 48, 4: 32, 5: 20}[m]))
+    names, psis = zip(*_PSI_BATTERY)
     for k in (0, 1, 2):
-        for name, psi in _PSI_BATTERY:
-            lhs, rhs = _funk_hecke_sides(psi, k, m, *rules)
+        for name, (lhs, rhs) in zip(names, _funk_hecke_sides(psis, k, m, *rules)):
             err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
             yield f"funkhecke_m{m}_k{k}_{name}", err, 1e-8
 
@@ -317,13 +317,14 @@ def _suite_dirac(cfg: RunConfig, rng: SplitMix64):
     yield f"dirac_poly_k{k}_h0.0001", worst, 1e-6
 
 
-def _kernel_pairs(cfg: RunConfig, rule, r: float, theta: float, ys, nu):
-    """(KernelParams, closed I, S^{p-1} oracle at x = r e_1) for each y of the stack ys."""
-    kps = [KernelParams(cfg.p, cfg.q, r, y, theta, nu) for y in ys]
+def _kernel_pairs(cfg: RunConfig, rule, r: float, thetas, ys, nu):
+    """(KernelParams, closed I, S^{p-1} oracle at x = r e_1) for each theta of
+    thetas and, within it, each y of the stack ys; one oracle pass serves all."""
+    kps = [KernelParams(cfg.p, cfg.q, r, y, float(theta), nu) for theta in thetas for y in ys]
     closed = [kernel_I_closed(kp) for kp in kps]
     x = np.zeros(cfg.p)
     x[0] = r
-    return list(zip(kps, closed, kernel_I_oracle(x, ys, theta, nu, rule).tolist()))
+    return list(zip(kps, closed, kernel_I_oracle(x, ys, thetas, nu, rule).ravel().tolist()))
 
 
 def _suite_kernel(cfg: RunConfig, rng: SplitMix64):
@@ -333,13 +334,13 @@ def _suite_kernel(cfg: RunConfig, rng: SplitMix64):
     ys = np.outer((0.0, 0.2, 0.4), np.eye(cfg.q)[-1])
     worst = 0.0
     anchor = 0.0
+    thetas = np.linspace(0.0, 0.5 * math.pi, 5)
     for r in np.linspace(0.0, 0.55, 5):
-        for theta in np.linspace(0.0, 0.5 * math.pi, 5):
-            for kp, closed, oracle in _kernel_pairs(cfg, rule, float(r), float(theta), ys, nu):
-                worst = max(worst, abs(closed - oracle) / max(abs(closed), abs(oracle)))
-                if r == 0.0:
-                    expected = sphere_area(cfg.p) * kp.tau ** (-0.5 * (cfg.p + cfg.q))
-                    anchor = max(anchor, abs(closed - expected) / expected)
+        for kp, closed, oracle in _kernel_pairs(cfg, rule, float(r), thetas, ys, nu):
+            worst = max(worst, abs(closed - oracle) / max(abs(closed), abs(oracle)))
+            if r == 0.0:
+                expected = sphere_area(cfg.p) * kp.tau ** (-0.5 * (cfg.p + cfg.q))
+                anchor = max(anchor, abs(closed - expected) / expected)
     yield f"kernel_closed_vs_oracle_p{cfg.p}_q{cfg.q}", worst, 1e-8
     yield "kernel_r0_equals_sphere_measure", anchor, 1e-12
 
@@ -515,11 +516,10 @@ def _cmd_kernel_table(cfg: RunConfig, args):
     rows = []
     failed = False
     for r in rs:
-        for theta in thetas:
-            [(_, closed, oracle)] = _kernel_pairs(cfg, rule, float(r), float(theta), y[None], nu)
+        for kp, closed, oracle in _kernel_pairs(cfg, rule, float(r), thetas, y[None], nu):
             diff = abs(closed - oracle)
             failed = failed or diff > args.tol * max(1.0, abs(closed))
-            rows.append([float(r), float(theta), closed, oracle, diff])
+            rows.append([float(r), kp.theta, closed, oracle, diff])
     payload = {"command": "kernel-table", "config": _config_echo(cfg),
                "tolerance": args.tol, "columns": columns, "rows": rows}
     return (1 if failed else 0), payload

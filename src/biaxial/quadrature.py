@@ -178,20 +178,24 @@ def funk_hecke_check(psi, k: int, m: int, resolution: int = 24):
     actually balances with, as the m=3, psi=1 case (both sides 4 pi) pins.
     """
     _check_range("m", m, 2, 6)
-    return _funk_hecke_sides(psi, k, m, *_funk_hecke_rules(m, resolution))
+    [sides] = _funk_hecke_sides([psi], k, m, *_funk_hecke_rules(m, resolution))
+    return sides
 
 
 def _funk_hecke_rules(m: int, resolution: int):
     return sphere_rule(m, resolution), gauss_jacobi_rule(max(resolution, 48), 0.5 * (m - 3.0))
 
 
-def _funk_hecke_sides(psi, k: int, m: int, sphere: SphereRule, interval: IntervalRule):
-    """Both sides of funk_hecke_check on the rules of _funk_hecke_rules."""
+def _funk_hecke_sides(psis, k: int, m: int, sphere: SphereRule, interval: IntervalRule):
+    """Both sides of funk_hecke_check, one (lhs, rhs) pair per psi of psis, on
+    the rules of _funk_hecke_rules.  The projections <xi, eta>, the harmonic's
+    node values, the Gegenbauer kernel and |S^{m-2}| H_k(xi) are formed once
+    for the whole battery."""
     harmonic, xi = _harmonic(k, m)
     proj = sphere.points @ xi
-    lhs = float(np.dot(sphere.weights, psi(proj) * harmonic(sphere.points)))
+    values = harmonic(sphere.points)
     kernel = gegenbauer_normalized(k, m, interval.nodes)
-    moment = float(np.dot(interval.weights, psi(interval.nodes) * kernel))
-    h_xi = float(harmonic(xi[None, :])[0])
-    rhs = sphere_area(m - 1) * h_xi * moment
-    return lhs, rhs
+    scale = sphere_area(m - 1) * float(harmonic(xi[None, :])[0])
+    return [(float(np.dot(sphere.weights, psi(proj) * values)),
+             scale * float(np.dot(interval.weights, psi(interval.nodes) * kernel)))
+            for psi in psis]

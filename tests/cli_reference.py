@@ -4,12 +4,13 @@ These are the per-sample loops the batched library code replaced, kept
 unchanged: the scalar SplitMix64.uniform_array, the per-pair geometric
 product (product_reference's blade loop, with the vector constructor and
 interior/exterior split it used), the kernel suite's one oracle call per
-y, funk_hecke_check building its rules on every call, and the three verify
-suites written against them.  The kernel suite calls the library's
-kernel_I_oracle one y at a time, so it holds the CLI's stacked-y call to
-single-y calls.  The tests hold biaxial.cli's kernel and Funk-Hecke suites
-to these references bit for bit, and its algebra suite, whose products now
-go through the matrix representation, to rounding.
+y, funk_hecke_check building its rules on every call for one psi, and the
+three verify suites written against them.  The kernel suite calls the
+library's kernel_I_oracle one theta and one y at a time, so it holds the
+CLI's one call per r, over every theta and a stack of y's, to single
+calls.  The tests hold biaxial.cli's kernel and Funk-Hecke suites to these
+references bit for bit, and its algebra suite, whose products now go
+through the matrix representation, to rounding.
 """
 
 import math

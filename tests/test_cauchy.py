@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from biaxial.algebra import BiaxialPoint, Multivector
 from biaxial.cauchy import (
     _MIN_BOUNDARY_DISTANCE,
+    _ORACLE_BLOCK,
     FullBallCauchy,
     KernelParams,
     _inverse_half_power,
@@ -121,6 +122,44 @@ def test_kernel_oracle_stack_returns_the_per_y_floats(p, q):
     assert stacked.shape == (4,) and stacked.dtype == np.float64
     assert stacked.tobytes() == np.array(singles).tobytes()
     assert kernel_I_oracle(x, ys[:1], 0.8, nu, rule).tobytes() == stacked[:1].tobytes()
+
+
+@pytest.mark.parametrize("p,q,res", [(2, 2, 24), (3, 2, 24), (4, 4, 24), (4, 4, 28)])
+def test_kernel_oracle_theta_array_gives_the_per_theta_floats(p, q, res):
+    rule = sphere_rule(p, res)
+    if res == 28:  # two blocks, the last one partial
+        assert _ORACLE_BLOCK < rule.weights.size < 2 * _ORACLE_BLOCK
+    nu = np.eye(q)[0]
+    x = 0.3 * np.eye(p)[0]
+    ys = SplitMix64(7).uniform_array(3 * q, -0.3, 0.3).reshape(3, q)
+    thetas = np.linspace(0.0, 0.5 * math.pi, 5)
+    battery = kernel_I_oracle(x, ys, thetas, nu, rule)
+    singles = np.array([kernel_I_oracle(x, ys, float(theta), nu, rule) for theta in thetas])
+    assert battery.shape == (5, 3) and battery.dtype == np.float64
+    assert battery.tobytes() == singles.tobytes()
+    one_y = kernel_I_oracle(x, ys[1], thetas, nu, rule)
+    assert one_y.shape == (5,) and one_y.tobytes() == singles[:, 1].tobytes()
+
+
+def test_kernel_oracle_scalar_theta_keeps_its_returns():
+    rule = sphere_rule(2, 16)
+    ys = np.array([[0.1, 0.0], [0.0, 0.2]])
+    for theta in (0.8, np.float64(0.8), np.array(0.8)):
+        single = kernel_I_oracle(0.3 * S2, ys[0], theta, NU, rule)
+        stacked = kernel_I_oracle(0.3 * S2, ys, theta, NU, rule)
+        assert type(single) is float
+        assert stacked.shape == (2,) and stacked[0] == single
+
+
+def test_kernel_oracle_empty_theta_array_gives_zero_rows():
+    got = kernel_I_oracle(0.3 * S2, np.zeros((3, 2)), np.array([]), NU, sphere_rule(2, 16))
+    assert got.shape == (0, 3) and got.dtype == np.float64
+
+
+def test_kernel_oracle_refuses_a_2d_theta():
+    with pytest.raises(ValueError, match=re.escape("theta must be a float or a 1-D array, got "
+                                                   "shape (2, 1)")):
+        kernel_I_oracle(0.3 * S2, np.zeros(2), np.array([[0.1], [0.2]]), NU, sphere_rule(2, 16))
 
 
 def test_kernel_oracle_empty_stack_gives_an_empty_array():

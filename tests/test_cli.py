@@ -458,7 +458,8 @@ def test_kernel_table_over_the_work_budget_exits_2_before_the_oracle(monkeypatch
     nodes = 64 ** 3  # sphere_rule(4, 64)
     largest = cli.MAX_RECONSTRUCT_WORK // nodes
     base = ["kernel-table", "--p", "4", "--q", "4", "--grid-theta", "0:1.5:1", "--tol", "1e300"]
-    monkeypatch.setattr(cli, "kernel_I_oracle", lambda x, ys, *args: np.zeros(len(ys)))
+    monkeypatch.setattr(cli, "kernel_I_oracle",
+                        lambda x, ys, thetas, *args: np.zeros((len(thetas), len(ys))))
     out = tmp_path / "largest.json"
     assert run(base + ["--grid-r", f"0:0.5:{largest}", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["rows"]) == largest

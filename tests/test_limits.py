@@ -101,6 +101,27 @@ def test_kernel_oracle_refuses_the_nodes_kernel_params_refuses(case):
             KernelParams(2, 2, 0.2, y, theta, nu)
 
 
+class _UntouchableRule:
+    """A rule on S^1 whose nodes and weights raise when read: any node pass fails."""
+
+    dim = 2
+
+    @property
+    def points(self):
+        raise AssertionError("the oracle touched the nodes")
+
+    weights = points
+
+
+@pytest.mark.parametrize("thetas, shown", [
+    ([2.5, 0.3, 0.6], "2.5"), ([0.3, -0.25, 0.6], "-0.25"), ([0.3, 0.6, NAN], "nan"),
+])
+def test_kernel_oracle_refuses_a_theta_array_before_any_node_pass(thetas, shown):
+    with pytest.raises(ValueError, match=r"^theta must lie in \[0, 1\.57\d*\], got "
+                                         + re.escape(shown) + "$"):
+        kernel_I_oracle(np.array([0.2, 0.0]), Y, np.array(thetas), NU, _UntouchableRule())
+
+
 @pytest.mark.parametrize("value", [0, 1.0, np.float64(0.5), np.array([0.0, 0.5, 1.0]),
                                    np.array(1.0), np.array([], dtype=float)])
 def test_check_range_admits_both_ends(value):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from biaxial.quadrature import (
+    _funk_hecke_rules,
+    _funk_hecke_sides,
     funk_hecke_check,
     gauss_jacobi_rule,
     hemisphere_rule,
@@ -208,20 +210,34 @@ def test_funk_hecke_odd_psi_kills_constant_harmonic():
     assert abs(rhs) < 1e-12
 
 
+PSI_BATTERY = [
+    ("one", lambda t: np.ones_like(t)),
+    ("t", lambda t: t),
+    ("t2", lambda t: t ** 2),
+    ("t3", lambda t: t ** 3),
+    ("exp", np.exp),
+]
+FUNK_HECKE_RES = {2: 96, 3: 32, 4: 24, 5: 16}
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_funk_hecke_agreement_battery(m, k):
-    res = {2: 96, 3: 32, 4: 24, 5: 16}[m]
-    for name, psi in [
-        ("one", lambda t: np.ones_like(t)),
-        ("t", lambda t: t),
-        ("t2", lambda t: t ** 2),
-        ("t3", lambda t: t ** 3),
-        ("exp", np.exp),
-    ]:
-        lhs, rhs = funk_hecke_check(psi, k, m, resolution=res)
+    for name, psi in PSI_BATTERY:
+        lhs, rhs = funk_hecke_check(psi, k, m, resolution=FUNK_HECKE_RES[m])
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) / scale < 1e-8, (name, m, k, lhs, rhs)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_funk_hecke_battery_call_gives_the_one_psi_sides(m, k):
+    rules = _funk_hecke_rules(m, FUNK_HECKE_RES[m])
+    psis = [psi for _, psi in PSI_BATTERY]
+    battery = _funk_hecke_sides(psis, k, m, *rules)
+    singles = [_funk_hecke_sides([psi], k, m, *rules)[0] for psi in psis]
+    assert len(battery) == len(psis)
+    assert np.array(battery).tobytes() == np.array(singles).tobytes()
 
 
 def test_sphere_rule_node_budget_is_checked_before_allocation(refuse_polar_rules):
