@@ -36,21 +36,15 @@ import numpy as np
 
 from .algebra import BiaxialPoint, Multivector, batch_vector_product
 from .fields import AxialField
-from .quadrature import HemisphereRule, SphereRule, sphere_area
+from .quadrature import _ORACLE_BLOCK, HemisphereRule, SphereRule, sphere_area
 from .special import _check_range, hyp2f1_symmetric
 
 BALL_RADIUS_MAX = 0.9
 _MIN_BOUNDARY_DISTANCE = 0.05
 # Nodes per array pass of the hemisphere sweep; bounds the (nodes x 2^dim),
 # (nodes x Jacobi) and (nodes x q) work arrays for fine rules.  The kernel
-# oracle walks its rule in blocks of its own size, _ORACLE_BLOCK.
+# oracle walks its rule in blocks of quadrature._ORACLE_BLOCK.
 _NODE_BLOCK = 4096
-# Nodes per pass of kernel_I_oracle: its (K, block) distance rows and the
-# power ladder's work rows, for the few y's of a call, stay in a core's L2
-# cache from the first pass over them to the dot with the weights.  16,384
-# was the fastest of 4,096, 8,192, 16,384 and 32,768 at p = q = 4 with
-# three y's on a host with 2 MiB of L2 per core.
-_ORACLE_BLOCK = 16384
 
 
 def _check_interior(r: float, y: np.ndarray) -> None:
@@ -189,9 +183,11 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float | np.ndarray, nu:
     theta in [0, pi/2] and nu a unit vector of shape (q,); every theta is
     checked before the first node is touched.
 
-    The rule is walked in blocks of _ORACLE_BLOCK nodes, so that the (K,
-    block) rows stay in L2 cache through every pass over them.  With
-    |omega| = 1 to rounding, c = cos(theta) and dy = y - sin(theta) nu,
+    The oracle walks rule.blocks(_ORACLE_BLOCK) and never builds or holds
+    the rule's node array; the (K, block) rows stay in L2 cache through
+    every pass over them.  The block boundaries do not depend on how the
+    rule stores its nodes, so every value is the same float either way.
+    With |omega| = 1 to rounding, c = cos(theta) and dy = y - sin(theta) nu,
       |x - c omega|^2 + |dy|^2 = (|x|^2 + c^2 + |dy|^2) - 2c <x, omega>,
     so one matvec <x, omega> per block serves every theta and every y.
     Each theta's K rows are written into two (K, block) buffers that live
@@ -228,14 +224,13 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float | np.ndarray, nu:
         cosines.append(c)
         offsets.append(np.array([x2 + c * c + float(np.dot(row, row)) for row in dy])[:, None])
     sums = np.zeros((len(cosines), len(ys)))
-    block = min(_ORACLE_BLOCK, rule.weights.size)
+    block = min(_ORACLE_BLOCK, rule.size)
     scaled = np.empty(block)
     dist2 = np.empty((len(ys), block))
     work = np.empty_like(dist2)
-    for start in range(0, rule.weights.size, _ORACLE_BLOCK):
-        t = rule.points[start:start + _ORACLE_BLOCK] @ x
+    for points, weights in rule.blocks(_ORACLE_BLOCK):
+        t = points @ x
         n = t.size
-        weights = rule.weights[start:start + _ORACLE_BLOCK]
         for c, offset, row_sums in zip(cosines, offsets, sums):
             np.multiply(t, -2.0 * c, out=scaled[:n])
             d = np.add(offset, scaled[:n], out=dist2[:, :n])

@@ -512,7 +512,7 @@ def _cmd_kernel_table(cfg: RunConfig, args):
                  0, BALL_RADIUS_MAX)
     rule = sphere_rule(cfg.p, min(cfg.res, 64))
     _check_range("kernel-table row x node evaluations",
-                 rs.size * thetas.size * rule.points.shape[0], 1, MAX_RECONSTRUCT_WORK)
+                 rs.size * thetas.size * rule.size, 1, MAX_RECONSTRUCT_WORK)
     rows = []
     failed = False
     for r in rs:
@@ -555,7 +555,7 @@ def _cmd_reconstruct(cfg: RunConfig, args):
         raise ConfigError(f"unknown field {field_name!r}; choose from {sorted(fields)}")
     field = fields[field_name]
     hrule, ball = hemisphere_rule(cfg.p, cfg.q, min(cfg.res, 48)), _ball_rule(cfg)
-    nodes = hrule.theta_nodes.size * hrule.nu.points.shape[0] + ball.points.shape[0]
+    nodes = hrule.theta_nodes.size * hrule.nu.size + ball.size
     _check_range("reconstruct point x node evaluations", n_points * nodes, 1, MAX_RECONSTRUCT_WORK)
     pts = _reconstruct_points(cfg, args)
     oracle = FullBallCauchy(field.boundary_value, ball)

@@ -31,7 +31,7 @@ from .fields import (
     eval_series,
     hpw_recurrence,
 )
-from .quadrature import SphereRule, sphere_area
+from .quadrature import _ORACLE_BLOCK, SphereRule, sphere_area
 from .special import _check_range, bessel_i, bessel_j, gamma_fn
 
 MAX_POLY_DEGREE = 12
@@ -140,25 +140,32 @@ def radialize_poly(k: int, pt: BiaxialPoint, s) -> Multivector:
 
 def _sphere_oracle(pt: BiaxialPoint, s, rule: SphereRule, integrand) -> Multivector:
     """Quadrature of F (t + i s) over t in S^{p-1}, the one oracle of the
-    radialized families.  integrand maps the nodes' <x, t>, a fresh array it
-    may overwrite, and the number <y, s> to terms (v, c) with w F = sum c v:
-    real weighted node values v and complex constants c.  Every product with
-    the node array is real, and each c multiplies only the p sums of its v
-    and their total."""
+    radialized families.  It walks rule.blocks(_ORACLE_BLOCK) and never
+    builds or holds the rule's node array.  integrand maps a block's <x, t>,
+    a fresh array it may overwrite, the block's weights w and the number
+    <y, s> to terms (v, c) with w F = sum c v: real weighted node values v
+    and complex constants c, the same for every block.  Every product with
+    the nodes is real: the p sums v @ t and the total sum(v) of each term
+    add up over the blocks, and each c multiplies them once."""
     s = _unit(s)
     if rule.dim != pt.p:
         raise ValueError("oracle needs a rule on S^{p-1}")
-    terms = integrand(rule.points @ pt.x, float(np.dot(pt.y, s)))
-    x_part = sum(c * (v @ rule.points) for v, c in terms)
-    y_part = sum(c * np.sum(v) for v, c in terms) * 1j * s
+    ys = float(np.dot(pt.y, s))
+    sums = None  # per term: its p sums v @ t, then sum(v)
+    for pts, weights in rule.blocks(_ORACLE_BLOCK):
+        terms = integrand(pts @ pt.x, weights, ys)
+        block = np.array([np.append(v @ pts, np.sum(v)) for v, _ in terms])
+        sums = block if sums is None else sums + block
+    x_part = sum(c * row[:-1] for row, (_, c) in zip(sums, terms))
+    y_part = sum(c * row[-1] for row, (_, c) in zip(sums, terms)) * 1j * s
     return Multivector.vector(pt.dim, np.concatenate([x_part, y_part]))
 
 
 def radialize_poly_oracle(k: int, pt: BiaxialPoint, s, rule: SphereRule) -> Multivector:
     """Direct sphere quadrature of the radialization integrand."""
 
-    def integrand(xt, ys):
-        zonal = rule.weights * (xt + 1j * ys) ** k
+    def integrand(xt, weights, ys):
+        zonal = weights * (xt + 1j * ys) ** k
         return (zonal.real, 1.0), (zonal.imag, 1j)
 
     return _sphere_oracle(pt, s, rule, integrand)
@@ -210,12 +217,12 @@ def fourier_kernel_closed(pt: BiaxialPoint, s) -> Multivector:
 def fourier_kernel_oracle(pt: BiaxialPoint, s, rule: SphereRule) -> Multivector:
     """Sphere quadrature of exp(<x,t> + i<y,s>) (t + i s) over t in S^{p-1}."""
 
-    def integrand(xt, ys):
+    def integrand(xt, weights, ys):
         # w exp(<x,t>) is real and fills <x,t>'s buffer; the phase exp(i<y,s>)
         # multiplies the p sums and their total, so the reported values round
         # as (sum of w exp(<x,t>) t) * phase.
         np.exp(xt, out=xt)
-        xt *= rule.weights
+        xt *= weights
         return ((xt, cmath.exp(1j * ys)),)
 
     return _sphere_oracle(pt, s, rule, integrand)

@@ -16,9 +16,19 @@ import numpy as np
 from .special import _check_range, gegenbauer_normalized
 
 # Node budget of sphere_rule: admits sphere_rule(4, 96) = 884,736 nodes,
-# the finest rule the CLI requests.  It also bounds the entries of
-# gauss_jacobi_rule's dense Jacobi matrix, so n <= 1,000.
+# the finest rule the CLI requests.  It bounds the time of a pass over a
+# rule and the size of its node array where one is built (points, weights),
+# not the memory of an oracle, which walks the rule in blocks of
+# _ORACLE_BLOCK rows.  It also bounds the entries of gauss_jacobi_rule's
+# dense Jacobi matrix, so n <= 1,000.
 MAX_SPHERE_NODES = 1_000_000
+# Rows per block of every quadrature oracle's walk over a SphereRule.  The
+# kernel oracle's (K, block) distance rows and power-ladder work rows, for
+# the few y's of a call, stay in a core's L2 cache from the first pass over
+# them to the dot with the weights: 16,384 was the fastest of 4,096, 8,192,
+# 16,384 and 32,768 at p = q = 4 with three y's on a host with 2 MiB of L2
+# per core.
+_ORACLE_BLOCK = 16384
 
 
 def sphere_area(ndim: int) -> float:
@@ -76,17 +86,109 @@ def gauss_jacobi_rule(n: int, alpha: float) -> IntervalRule:
     return IntervalRule(nodes, weights, alpha)
 
 
-@dataclass(frozen=True)
 class SphereRule:
-    """Unit vectors and positive weights integrating over S^{dim-1}; the
-    arrays are read-only."""
+    """Unit vectors and positive weights integrating over S^{dim-1}.
 
-    dim: int
-    points: np.ndarray
-    weights: np.ndarray
+    A rule of sphere_rule for dim >= 3 is a product rule: it keeps its polar
+    Gauss-Jacobi factor and its S^{dim-2} sub-rule, not its size x dim node
+    array.  blocks(n) hands its nodes out in row ranges, and every
+    quadrature oracle walks those.  points and weights are assembled from
+    the factors on first access and then kept.  A rule given its arrays,
+    SphereRule(dim, points, weights), keeps them, and its blocks slice them.
+    The arrays are read-only, and a rule compares and hashes by identity.
+    """
 
-    def __post_init__(self):
-        _read_only(self.points, self.weights)
+    def __init__(self, dim: int, points: np.ndarray, weights: np.ndarray):
+        _read_only(points, weights)
+        self.dim = dim
+        self.size = len(weights)
+        self._arrays = points, weights
+        self._factors = None
+
+    @classmethod
+    def _product(cls, polar: IntervalRule, sub: "SphereRule") -> "SphereRule":
+        """The rule on S^{sub.dim} with nodes (u, sqrt(1-u^2) omega), u of
+        polar and omega of sub, polar-major; its weight is their product."""
+        rule = cls.__new__(cls)
+        rule.dim = sub.dim + 1
+        rule.size = polar.nodes.size * sub.size
+        rule._arrays = None
+        # sub's nodes behind a zero column 0: one broadcast multiply forms
+        # whole rows, which is much cheaper than writing the strided
+        # columns 1.. of a node block.
+        lifted = np.zeros((sub.size, rule.dim))
+        lifted[:, 1:] = sub.points
+        sin_part = np.sqrt(1.0 - polar.nodes ** 2)
+        _read_only(lifted, sin_part)
+        rule._factors = polar, sub, sin_part, lifted
+        return rule
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._assembled()[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._assembled()[1]
+
+    def _assembled(self):
+        if self._arrays is None:
+            pts = np.empty((self.size, self.dim))
+            w = np.empty(self.size)
+            self._fill(0, self.size, pts, w)
+            _read_only(pts, w)
+            self._arrays = pts, w
+        return self._arrays
+
+    def blocks(self, n: int):
+        """(points, weights) of rows [a, a + n) for a = 0, n, 2n, ...; the
+        last range may be shorter.  Each equals points[a:a+n], weights[a:a+n]
+        bit for bit.  A product rule writes every range into the same two
+        buffers: the yielded arrays are read-only views, valid until the
+        next step."""
+        _check_range("block rows n", n, 1, math.inf)
+        starts = range(0, self.size, n)
+        if self._factors is None:
+            pts, w = self._arrays
+            for a in starts:
+                yield pts[a:a + n], w[a:a + n]
+            return
+        width = min(n, self.size)
+        pts, w = np.empty((width, self.dim)), np.empty(width)
+        views = pts.view(), w.view()
+        _read_only(*views)
+        for a in starts:
+            b = min(a + n, self.size)
+            self._fill(a, b, pts, w)
+            yield views[0][:b - a], views[1][:b - a]
+
+    def _fill(self, start: int, stop: int, pts: np.ndarray, w: np.ndarray) -> None:
+        """Rows [start, stop) of a product rule into pts and w from row 0: the
+        whole slabs of one polar node each as one broadcast multiply, a
+        partial slab at either end from its own rows."""
+        polar, sub, sin_part, lifted = self._factors
+        n_sub = sub.size
+        i, j = divmod(start, n_sub)
+        row = 0
+        while start < stop:
+            if j == 0 and stop - start >= n_sub:
+                m = (stop - start) // n_sub
+                count = m * n_sub
+                slab = pts[row:row + count].reshape(m, n_sub, self.dim)
+                np.multiply(sin_part[i:i + m, None, None], lifted, out=slab)
+                slab[:, :, 0] = polar.nodes[i:i + m, None]
+                np.multiply(polar.weights[i:i + m, None], sub.weights,
+                            out=w[row:row + count].reshape(m, n_sub))
+                i += m
+            else:
+                count = min(n_sub - j, stop - start)
+                rows = slice(row, row + count)
+                np.multiply(sin_part[i], lifted[j:j + count], out=pts[rows])
+                pts[rows, 0] = polar.nodes[i]
+                np.multiply(polar.weights[i], sub.weights[j:j + count], out=w[rows])
+                i, j = (i + 1, 0) if j + count == n_sub else (i, j + count)
+            start += count
+            row += count
 
 
 def sphere_rule(d: int, resolution: int = 64) -> SphereRule:
@@ -94,7 +196,10 @@ def sphere_rule(d: int, resolution: int = 64) -> SphereRule:
 
     resolution counts nodes per one-dimensional factor, so node totals grow
     like resolution^(d-1); a rule above MAX_SPHERE_NODES is rejected before
-    anything is allocated.
+    anything is allocated.  For d >= 3 the rule keeps its polar factor
+    gauss_jacobi_rule(resolution, (d-3)/2) and sphere_rule(d - 1,
+    resolution), about resolution^(d-2) nodes, and its node array is built
+    only if points or weights is read (SphereRule).
     """
     _check_range("sphere dimension d", d, 1, 6)
     if d > 1:
@@ -109,15 +214,7 @@ def sphere_rule(d: int, resolution: int = 64) -> SphereRule:
         w = np.full(resolution, 2.0 * math.pi / resolution)
         return SphereRule(2, pts, w)
     polar = gauss_jacobi_rule(resolution, 0.5 * (d - 3.0))
-    sub = sphere_rule(d - 1, resolution)
-    u = polar.nodes
-    sin_part = np.sqrt(1.0 - u ** 2)
-    # Broadcast into one preallocated array, so the build peaks near the kept rule.
-    pts = np.empty((u.size, sub.weights.size, d))
-    pts[:, :, 0] = u[:, None]
-    np.multiply(sin_part[:, None, None], sub.points, out=pts[:, :, 1:])
-    w = np.outer(polar.weights, sub.weights).ravel()
-    return SphereRule(d, pts.reshape(-1, d), w)
+    return SphereRule._product(polar, sphere_rule(d - 1, resolution))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,12 +287,18 @@ def _funk_hecke_sides(psis, k: int, m: int, sphere: SphereRule, interval: Interv
     """Both sides of funk_hecke_check, one (lhs, rhs) pair per psi of psis, on
     the rules of _funk_hecke_rules.  The projections <xi, eta>, the harmonic's
     node values, the Gegenbauer kernel and |S^{m-2}| H_k(xi) are formed once
-    for the whole battery."""
+    for the whole battery.  The node vectors are filled over the blocks of
+    the sphere rule, which never builds its node array; each psi's lhs is
+    one dot over all N nodes."""
     harmonic, xi = _harmonic(k, m)
-    proj = sphere.points @ xi
-    values = harmonic(sphere.points)
+    proj, values, weights = np.empty((3, sphere.size))
+    for i, (pts, w) in enumerate(sphere.blocks(_ORACLE_BLOCK)):
+        rows = slice(i * _ORACLE_BLOCK, i * _ORACLE_BLOCK + w.size)
+        proj[rows] = pts @ xi
+        values[rows] = harmonic(pts)
+        weights[rows] = w
     kernel = gegenbauer_normalized(k, m, interval.nodes)
     scale = sphere_area(m - 1) * float(harmonic(xi[None, :])[0])
-    return [(float(np.dot(sphere.weights, psi(proj) * values)),
+    return [(float(np.dot(weights, psi(proj) * values)),
              scale * float(np.dot(interval.weights, psi(interval.nodes) * kernel)))
             for psi in psis]

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from biaxial.algebra import BiaxialPoint, Multivector
 from biaxial.cauchy import (
     _MIN_BOUNDARY_DISTANCE,
-    _ORACLE_BLOCK,
     FullBallCauchy,
     KernelParams,
     _inverse_half_power,
@@ -22,7 +21,13 @@ from biaxial.cauchy import (
 )
 from biaxial.fields import constant_field, linear_monogenic_field
 from biaxial.planewave import exp_hpw_axial_field
-from biaxial.quadrature import HemisphereRule, hemisphere_rule, sphere_area, sphere_rule
+from biaxial.quadrature import (
+    _ORACLE_BLOCK,
+    HemisphereRule,
+    hemisphere_rule,
+    sphere_area,
+    sphere_rule,
+)
 from biaxial.rng import SplitMix64
 
 from per_node_reference import kernel_phi_quadrature

@@ -13,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biaxial.algebra import BiaxialPoint
-from biaxial.cauchy import _MIN_BOUNDARY_DISTANCE, _ORACLE_BLOCK, FullBallCauchy, kernel_I_oracle
+from biaxial.cauchy import _MIN_BOUNDARY_DISTANCE, FullBallCauchy, kernel_I_oracle
 from biaxial.fields import constant_field, linear_monogenic_field
 from biaxial.planewave import exp_hpw_axial_field
-from biaxial.quadrature import sphere_rule
+from biaxial.quadrature import _ORACLE_BLOCK, sphere_rule
 from biaxial.rng import SplitMix64
 
 import one_pass_reference as reference

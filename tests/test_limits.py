@@ -171,6 +171,10 @@ LIMITS = {
         f"node count of sphere_rule(2, {MAX_SPHERE_NODES + 1}) must lie in "
         f"[1, {MAX_SPHERE_NODES}], got {MAX_SPHERE_NODES + 1}",
         lambda: sphere_rule(2, NAN), [lambda: sphere_rule(2, MAX_SPHERE_NODES)]),
+    "SphereRule.blocks n": (lambda: next(sphere_rule(3, 4).blocks(0)),
+                            "block rows n must lie in [1, inf], got 0",
+                            lambda: next(sphere_rule(3, 4).blocks(NAN)),
+                            [lambda: list(sphere_rule(3, 4).blocks(1))]),
     "hemisphere_rule p": (lambda: hemisphere_rule(1, 2, 8), "p must lie in [2, inf], got 1",
                           lambda: hemisphere_rule(NAN, 2, 8), [lambda: hemisphere_rule(2, 3, 8)]),
     "hemisphere_rule q": (lambda: hemisphere_rule(2, 1, 8), "q must lie in [2, inf], got 1",

@@ -1,11 +1,13 @@
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from biaxial.quadrature import (
+    SphereRule,
     _funk_hecke_rules,
     _funk_hecke_sides,
     funk_hecke_check,
@@ -264,15 +266,77 @@ def test_sphere_rule_matches_repeat_tile_builder_bit_for_bit(d, res):
     assert np.array_equal(rule.weights, ref.weights)
 
 
-def test_sphere_rule_peak_memory_is_close_to_what_it_keeps():
-    # Building in place allocates little beyond the kept points and weights;
-    # repeat/tile copies peaked at 2.2x.
-    sphere_rule(4, 48)  # Jacobi factors are cached; do not trace them.
+def _traced(call):
+    """(result, kept bytes, peak bytes) of call under tracemalloc."""
     tracemalloc.start()
     try:
-        rule = sphere_rule(4, 48)
+        result = call()
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept >= rule.points.nbytes + rule.weights.nbytes
+    return result, kept, peak
+
+
+def test_sphere_rule_keeps_its_factors_not_its_node_array():
+    sphere_rule(4, 48)  # Jacobi factors are cached; do not trace them.
+    rule, kept, _ = _traced(lambda: sphere_rule(4, 48))
+    assert kept < 0.1 * (rule.points.nbytes + rule.weights.nbytes), kept
+
+
+def test_first_access_to_points_peaks_close_to_what_it_keeps():
+    # The arrays are filled in place; repeat/tile copies peaked at 2.2x.
+    rule = sphere_rule(4, 48)
+    (points, weights), kept, peak = _traced(lambda: (rule.points, rule.weights))
+    assert kept >= points.nbytes + weights.nbytes
     assert peak <= 1.2 * kept, (peak, kept)
+    assert rule.points is points and rule.weights is weights
+
+
+# Per sphere: a rule of one slab per polar node, and for the product rules
+# one whose slabs do not divide the block sizes below.
+BLOCK_RULES = [(1, 8), (2, 16), (3, 2), (3, 12), (4, 7), (4, 17), (5, 6), (6, 5)]
+
+
+@pytest.mark.parametrize("d, res", BLOCK_RULES)
+def test_blocks_are_the_slices_of_points_and_weights_bit_for_bit(d, res):
+    rule = sphere_rule(d, res)
+    slab = rule.size // res if d > 2 else 1  # rows per polar node
+    # Below one slab, off a multiple of it, past one and a half slabs, every
+    # row in one block and more rows than the rule has.
+    sizes = sorted({1, max(slab - 1, 1), slab + 1, 3 * slab // 2 + 1, rule.size, rule.size + 5})
+    walks = {n: [(pts.copy(), w.copy()) for pts, w in rule.blocks(n)] for n in sizes}
+    points, weights = rule.points, rule.weights
+    for n, walk in walks.items():
+        starts = range(0, rule.size, n)
+        assert [w.size for _, w in walk] == [min(n, rule.size - a) for a in starts]
+        for a, (pts, w) in zip(starts, walk):
+            assert pts.tobytes() == points[a:a + n].tobytes()
+            assert w.tobytes() == weights[a:a + n].tobytes()
+
+
+def test_blocks_are_read_only_views_of_one_buffer_pair():
+    walk = sphere_rule(4, 6).blocks(10)
+    pts, w = next(walk)
+    assert not pts.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        pts[0, 0] = 0.0
+    later, later_w = next(walk)
+    assert np.shares_memory(pts, later) and np.shares_memory(w, later_w)
+
+
+def test_a_rule_given_its_arrays_keeps_them_and_its_blocks_slice_them():
+    points = np.arange(14.0).reshape(7, 2)
+    weights = np.arange(7.0)
+    rule = SphereRule(2, points, weights)
+    assert rule.points is points and rule.weights is weights and rule.size == 7
+    walk = list(rule.blocks(3))
+    assert [w.tolist() for _, w in walk] == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0]]
+    assert all(np.shares_memory(pts, points) for pts, _ in walk)
+
+
+def test_sphere_rules_compare_and_hash_by_identity():
+    a, b = sphere_rule(3, 8), sphere_rule(3, 8)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    keyed = weakref.WeakKeyDictionary({a: 1})
+    assert keyed[a] == 1 and b not in keyed

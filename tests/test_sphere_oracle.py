@@ -1,8 +1,9 @@
 """The plane-wave sphere oracles against the complex-arithmetic code they
 replaced (sphere_oracle_reference.py), and their working memory.
 
-The oracles now multiply only real arrays by the node array and apply the
+The oracles now multiply only real arrays by the nodes and apply the
 Fourier phase to the p sums, so they agree with the reference to rounding.
+They walk the rule in blocks, so their memory does not grow with its size.
 """
 
 import functools
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 import sphere_oracle_reference as ref
 from biaxial.algebra import BiaxialPoint
 from biaxial.planewave import fourier_kernel_oracle, radialize_poly_oracle
-from biaxial.quadrature import sphere_rule
+from biaxial.cauchy import kernel_I_oracle
+from biaxial.quadrature import _ORACLE_BLOCK, sphere_rule
 
 # Two resolutions per sphere dimension p; node counts stay below 4,100.
 RESOLUTIONS = {2: (16, 64), 3: (8, 24), 4: (6, 16), 5: (4, 8)}
@@ -84,3 +86,25 @@ def test_oracle_working_memory_stays_within_a_few_node_vectors(call, budget):
     s = np.array([0.6, 0.8, 0.0])
     peak = _peak_bytes(lambda: call(pt, s, rule))
     assert peak <= budget * 8 * n, peak / (8 * n)
+
+
+# One walk's (block, 4) node and weight buffers; reading the rule's node
+# array instead would hold 5 x 8 bytes per node.
+BLOCK_BYTES = 5 * 8 * _ORACLE_BLOCK
+
+
+@pytest.mark.parametrize("call, res", [
+    (lambda rule: fourier_kernel_oracle(
+        BiaxialPoint(4, 3, np.array([0.5, -0.3, 0.2, 0.1]), np.array([0.2, -0.4, 0.1])),
+        np.array([0.6, 0.8, 0.0]), rule), 96),
+    (lambda rule: kernel_I_oracle(np.array([0.3, 0.0, 0.0, 0.0]),
+                                  np.outer((0.0, 0.2, 0.4), np.eye(4)[-1]),
+                                  np.linspace(0.0, 0.5 * np.pi, 5), np.eye(4)[0], rule), 64),
+], ids=["fourier-res96", "kernel-res64"])
+def test_oracle_peak_is_a_few_blocks_whatever_the_rule_size(call, res):
+    # The node arrays of sphere_rule(4, 64) and (4, 96) take 10.5 and
+    # 35.4 MB; four blocks take 2.6 MB.
+    rule = sphere_rule(4, res)
+    assert 5 * 8 * rule.size > 4 * BLOCK_BYTES
+    peak = _peak_bytes(lambda: call(rule))
+    assert peak <= 4 * BLOCK_BYTES, peak / BLOCK_BYTES

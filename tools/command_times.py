@@ -14,7 +14,11 @@ MB is the process's memory high-water mark (``ru_maxrss``) right after the
 command's warm-up run, and on the total line the mark at the end.  The mark
 only rises, so the command at which it reaches its final value is the one
 that sets the peak of a process running them all, as the benchmark's
-``cli_verify`` workload does.
+``cli_verify`` workload does.  It is a running mark, not the command's own
+peak: it also depends on the heap that the commands before it left, so two
+checkouts can end a few MB apart with no command's own peak moved.  Compare
+the MB column only between runs of the same command subset, and to get one
+command's own peak, pass only its prefix (``"verify planewave --p 4"``).
 
 Arguments are argv prefixes, one per argument, that select the commands
 to time: ``python3 tools/command_times.py "verify cauchy" kernel-table``
