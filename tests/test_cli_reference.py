@@ -8,11 +8,14 @@ measures relative errors of products; the library's general product now
 goes through the matrix representation and the reference's through the
 blade loop, so its values are held within 1e-14 of the reference, the
 rounding of unit-scale products, with names, tolerances and pass flags
-exact.
+exact.  algebra_suite_reference.py holds the algebra suite that wrapped
+every draw and product row in a Multivector and took one _rel per pair;
+the array samplers must give its values bit for bit.
 """
 
 import pytest
 
+import algebra_suite_reference
 import cli_reference as ref
 from biaxial import cli
 from biaxial.rng import SplitMix64
@@ -41,3 +44,13 @@ def test_suite_matches_per_sample_reference(suite, p, q, seed):
     assert [{**c, "measured": None} for c in got] == [{**c, "measured": None} for c in want]
     for g, w in zip(got, want):
         assert abs(g["measured"] - w["measured"]) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", [1, 2024])
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (4, 4), (2, 3), (5, 3), (7, 1)])
+def test_algebra_suite_matches_per_pair_reference_bit_for_bit(p, q, seed):
+    argv = ["verify", "algebra", "--p", str(p), "--q", str(q), "--seed", str(seed)]
+    cfg = cli._build_config(cli.build_parser().parse_args(argv))
+    got = [cli._check(*row) for row in cli._suite_algebra(cfg, SplitMix64(cfg.seed))]
+    want = algebra_suite_reference._suite_algebra(cfg, SplitMix64(cfg.seed))
+    assert bits(got) == bits([cli._check(*row) for row in want])
