@@ -38,6 +38,7 @@ from .fields import (
     FD_STEP_MAX,
     FD_STEP_MIN,
     MAX_TRUNCATION,
+    AxialField,
     ExpLinear,
     _axial_value,
     ck_extend,
@@ -53,10 +54,8 @@ from .planewave import (
     MAX_POLY_DEGREE,
     exp_coeffs_closed,
     exp_hpw_axial_field,
-    exp_hpw_series,
     fourier_axial_field,
     fourier_kernel_oracle,
-    hpw_exp_closed,
     poly_hpw_axial_field,
     radialize_poly_oracle,
 )
@@ -168,31 +167,25 @@ def _worst(rng: SplitMix64, cfg: RunConfig, rmin: float, rmax: float, error) -> 
     return worst
 
 
-def _ck_exp(cfg: RunConfig):
-    """The CK extension of exp(<y, s>) and its pointwise value function."""
-    series = ck_extend(ExpLinear.exponential(cfg.s), cfg.p, cfg.q, J=cfg.J)
-    return series, lambda pt: eval_series(series, pt)[0]
-
-
-def _axial_fields(cfg: RunConfig) -> dict:
-    """Fields with closed A and B parts, by their reconstruct --field names."""
-    return {
-        "constant": constant_field(cfg.p, cfg.q),
-        "linear": linear_monogenic_field(cfg.p, cfg.q, cfg.s),
-        "exp-hpw": exp_hpw_axial_field(cfg.p, cfg.q, cfg.s),
-    }
-
-
-# Pointwise value functions by eval --field name, each built once per command.
-_VALUE_FNS = {
-    "exp-hpw": lambda cfg: exp_hpw_axial_field(cfg.p, cfg.q, cfg.s).value_at,
-    "fourier-kernel": lambda cfg: fourier_axial_field(cfg.p, cfg.q, cfg.s).value_at,
-    "poly": lambda cfg: poly_hpw_axial_field(cfg.p, cfg.q, cfg.s, cfg.k).value_at,
-    "ck": lambda cfg: _ck_exp(cfg)[1],
-    "constant": lambda cfg: constant_field(cfg.p, cfg.q).value_at,
-    "linear": lambda cfg: linear_monogenic_field(cfg.p, cfg.q, cfg.s).value_at,
+# The builder of each field from a run's configuration, by its eval --field
+# name: an AxialField, or for ck the CK series of exp(<y, s>).  reconstruct
+# takes every AxialField.
+_FIELDS = {
+    "exp-hpw": lambda cfg: exp_hpw_axial_field(cfg.p, cfg.q, cfg.s),
+    "fourier-kernel": lambda cfg: fourier_axial_field(cfg.p, cfg.q, cfg.s),
+    "poly": lambda cfg: poly_hpw_axial_field(cfg.p, cfg.q, cfg.s, cfg.k),
+    "ck": lambda cfg: ck_extend(ExpLinear.exponential(cfg.s), cfg.p, cfg.q, J=cfg.J),
+    "constant": lambda cfg: constant_field(cfg.p, cfg.q),
+    "linear": lambda cfg: linear_monogenic_field(cfg.p, cfg.q, cfg.s),
 }
-FIELDS = tuple(_VALUE_FNS)
+FIELDS = tuple(_FIELDS)
+
+
+def _values(field):
+    """The pointwise value function of a _FIELDS object."""
+    if isinstance(field, AxialField):
+        return field.value_at
+    return lambda pt: eval_series(field, pt)[0]
 
 
 def _point_columns(cfg: RunConfig) -> list:
@@ -297,21 +290,22 @@ def _suite_funkhecke(cfg: RunConfig, rng: SplitMix64):
 def _suite_vekua(cfg: RunConfig, rng: SplitMix64):
     h = min(cfg.h, 1e-4)
     tolerances = {"constant": 1e-12, "linear": 1e-9, "exp-hpw": 1e-8}
-    for name, field in _axial_fields(cfg).items():
+    for name, tolerance in tolerances.items():
+        field = _FIELDS[name](cfg)
         worst = _worst(rng, cfg, 0.3, 1.0, lambda pt: max(
             res.norm_inf for res in vekua_residual(field, pt.r, pt.y, h=h)))
-        yield f"vekua_{name.replace('-', '_')}_h{h:g}", worst, tolerances[name]
+        yield f"vekua_{name.replace('-', '_')}_h{h:g}", worst, tolerance
 
 
 def _suite_dirac(cfg: RunConfig, rng: SplitMix64):
     for name, field in (("exp_hpw", "exp-hpw"), ("fourier", "fourier-kernel"), ("ck_exp", "ck")):
-        fn = _VALUE_FNS[field](cfg)
+        fn = _values(_FIELDS[field](cfg))
         worst = _worst(rng, cfg, 0.2, 1.2, lambda pt: dirac_residual_relative(fn, pt, cfg.h))
         yield f"dirac_{name}_h{cfg.h:g}", worst, 1e-6
     # Degree-k polynomials need the smaller verdict step: their third
     # derivatives scale like k^3 and dominate the h^2 truncation.
     k = max(cfg.k, 2)
-    poly = poly_hpw_axial_field(cfg.p, cfg.q, cfg.s, k).value_at
+    poly = _FIELDS["poly"](dataclasses.replace(cfg, k=k)).value_at
     worst = _worst(rng, cfg, 0.2, 1.0, lambda pt: dirac_residual_relative(poly, pt, 1e-4))
     yield f"dirac_poly_k{k}_h0.0001", worst, 1e-6
 
@@ -348,7 +342,8 @@ def _suite_cauchy(cfg: RunConfig, rng: SplitMix64):
     hrule = hemisphere_rule(cfg.p, cfg.q, min(cfg.res, 40))
     ball = _ball_rule(cfg)
     pts = [_interior_point(rng, cfg.p, cfg.q, 0.5) for _ in range(2)]
-    for name, field in _axial_fields(cfg).items():
+    for name in ("constant", "linear", "exp-hpw"):
+        field = _FIELDS[name](cfg)
         name = name.replace("-", "_")
         oracle = FullBallCauchy(field.boundary_value, ball)
         worst_corr = 0.0
@@ -369,11 +364,11 @@ def _suite_cauchy(cfg: RunConfig, rng: SplitMix64):
 
 
 def _suite_planewave(cfg: RunConfig, rng: SplitMix64):
-    exp_closed = _VALUE_FNS["exp-hpw"](cfg)
-    fourier_closed = _VALUE_FNS["fourier-kernel"](cfg)
-    series = exp_hpw_series(cfg.p, cfg.q, cfg.s, J=cfg.J)
-    worst = _worst(rng, cfg, 0.0, 1.8,
-                   lambda pt: _rel(exp_closed(pt), eval_series(series, pt)[0]))
+    exp_closed = _FIELDS["exp-hpw"](cfg).value_at
+    fourier_closed = _FIELDS["fourier-kernel"](cfg).value_at
+    series = _FIELDS["ck"](cfg)
+    series_fn = _values(series)
+    worst = _worst(rng, cfg, 0.0, 1.8, lambda pt: _rel(exp_closed(pt), series_fn(pt)))
     yield "exp_closed_vs_series", worst, 1e-12
     worst = 0.0
     for j in range(min(cfg.J, 20)):
@@ -386,7 +381,7 @@ def _suite_planewave(cfg: RunConfig, rng: SplitMix64):
     worst = 0.0
     for k in range(min(cfg.k, 4) + 1):
         pt = _random_point(rng, cfg.p, cfg.q, 0.1, 1.0)
-        closed = poly_hpw_axial_field(cfg.p, cfg.q, cfg.s, k).value_at(pt)
+        closed = _FIELDS["poly"](dataclasses.replace(cfg, k=k)).value_at(pt)
         oracle = radialize_poly_oracle(k, pt, cfg.s, rule)
         worst = max(worst, _rel(closed, oracle))
     yield "radialize_closed_vs_oracle", worst, 1e-9
@@ -410,11 +405,12 @@ def _suite_ck(cfg: RunConfig, rng: SplitMix64):
     term_err = 0.0 if (linear.terminated and linear.truncation == 2) else 1.0
     term_err = max(term_err, abs(complex(linear.D[1].poly[0]) - 1.0 / cfg.p))
     yield "ck_linear_datum_terminates", term_err, 1e-14
-    series, ck_fn = _ck_exp(cfg)
+    series = _FIELDS["ck"](cfg)
+    ck_fn, exp_fn = _values(series), _FIELDS["exp-hpw"](cfg).value_at
     coeff_err = abs(complex(series.D[1].poly[0]) - 1.0 / cfg.p)
     coeff_err = max(coeff_err, abs(complex(series.C[2].poly[0]) - 1.0 / (2.0 * cfg.p)))
     yield "ck_exp_low_coefficients", coeff_err, 1e-14
-    worst = _worst(rng, cfg, 0.0, 1.8, lambda pt: _rel(hpw_exp_closed(pt, cfg.s), ck_fn(pt)))
+    worst = _worst(rng, cfg, 0.0, 1.8, lambda pt: _rel(exp_fn(pt), ck_fn(pt)))
     yield "ck_bessel_form_vs_series", worst, 1e-12
     worst = _worst(rng, cfg, 0.2, 1.2, lambda pt: dirac_apply_fd(ck_fn, pt, h=cfg.h).norm_inf)
     yield f"ck_dirac_annihilation_h{cfg.h:g}", worst, 1e-6
@@ -458,7 +454,7 @@ def _cmd_verify(cfg: RunConfig, args):
 
 
 def _cmd_eval(cfg: RunConfig, args):
-    fn = _VALUE_FNS[args.field](cfg)
+    fn = _values(_FIELDS[args.field](cfg))
     rs = _parse_range(args.grid_r, "--grid-r")
     ts = _parse_range(args.grid_t, "--grid-t")
     dim = cfg.p + cfg.q
@@ -549,10 +545,11 @@ def _cmd_reconstruct(cfg: RunConfig, args):
     n_points = len(args.points) if args.points else args.num_points
     _check_range("report cells", n_points * len(columns), 1, MAX_REPORT_CELLS)
     field_name = args.field
-    fields = _axial_fields(cfg)
-    if field_name not in fields:
-        raise ConfigError(f"unknown field {field_name!r}; choose from {sorted(fields)}")
-    field = fields[field_name]
+    field = _FIELDS[field_name](cfg) if field_name in _FIELDS else None
+    if not isinstance(field, AxialField):
+        axial = [name for name, build in _FIELDS.items() if isinstance(build(cfg), AxialField)]
+        raise ConfigError(f"reconstruct needs an axial field, not {field_name!r}; "
+                          f"choose from {sorted(axial)}")
     hrule, ball = hemisphere_rule(cfg.p, cfg.q, min(cfg.res, 48)), _ball_rule(cfg)
     nodes = hrule.theta_nodes.size * hrule.nu.size + ball.size
     _check_range("reconstruct point x node evaluations", n_points * nodes, 1, MAX_RECONSTRUCT_WORK)

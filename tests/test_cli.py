@@ -172,7 +172,7 @@ def test_reused_parser_starts_each_call_from_its_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("p, q", [(2, 2), (3, 2), (2, 3)])
-@pytest.mark.parametrize("field", ["constant", "linear", "exp-hpw"])
+@pytest.mark.parametrize("field", ["constant", "linear", "exp-hpw", "fourier-kernel", "poly"])
 def test_reconstruct_on_the_x_axis_assembles_a_alone(tmp_path, field, p, q):
     # At x = 0 the corrected pair assembles to A alone, as AxialField.value_at does.
     out = tmp_path / "axis.json"
@@ -184,6 +184,38 @@ def test_reconstruct_on_the_x_axis_assembles_a_alone(tmp_path, field, p, q):
     row = dict(zip(payload["columns"], payload["rows"][0]))
     assert row["err_A_corrected"] <= 1e-12 and row["err_B_corrected"] <= 1e-12
     assert row["err_fullball_corrected"] <= 1e-9
+
+
+def test_field_names_keep_their_order():
+    # The benchmark's cli_verify commands and the report digests list eval
+    # commands in this order.
+    import biaxial.cli as cli
+
+    assert cli.FIELDS == ("exp-hpw", "fourier-kernel", "poly", "ck", "constant", "linear")
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("field", ["fourier-kernel", "poly"])
+def test_reconstruct_meets_the_direct_parts_of_every_axial_family(tmp_path, field, p, q):
+    out = tmp_path / "rec.json"
+    code = run(["reconstruct", "--field", field, "--p", str(p), "--q", str(q),
+                "--num-points", "3", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    for values in payload["rows"]:
+        row = dict(zip(payload["columns"], values))
+        assert row["err_A_corrected"] <= 1e-12 and row["err_B_corrected"] <= 1e-12
+
+
+def test_reconstruct_refuses_the_series_naming_the_axial_fields(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert run(["reconstruct", "--field", "ck", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == (
+        "reconstruct needs an axial field, not 'ck'; "
+        "choose from ['constant', 'exp-hpw', 'fourier-kernel', 'linear', 'poly']")
+    assert not out.exists()
 
 
 def test_verify_cauchy_reports_reduction_defect(tmp_path):
