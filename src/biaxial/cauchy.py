@@ -249,19 +249,27 @@ def kernel_I_oracle(x: np.ndarray, y: np.ndarray, theta: float | np.ndarray, nu:
 def _live_columns(rows):
     """(live, block, width) of complex rows (N, M): the float64 columns that are
     nonzero at some node as one (N, L) real block, their indices in the float64
-    view, and its width 2 M.  Real fields fill one or a few of the 2 M columns."""
+    view, and its width 2 M.  Real fields fill one or a few of the 2 M columns.
+    The gather along axis 1 lays the block out column by column (Fortran
+    order), so block.T is a C-ordered (L, N) array."""
     view = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
     live = np.flatnonzero(view.any(axis=0))
     return live, view[:, live], view.shape[1]
 
 
+def _scattered(live: np.ndarray, width: int, product: np.ndarray) -> np.ndarray:
+    """A (k, L) product over the live float64 columns, scattered into +0.0
+    columns of the given width and viewed as (k, width / 2) complex."""
+    out = np.zeros((product.shape[0], width))
+    out[:, live] = product
+    return out.view(np.complex128)
+
+
 def _live_product(weights: np.ndarray, cols) -> np.ndarray:
     """weights (k, N) @ the rows _live_columns gathered: one real product,
-    scattered into +0.0 columns and viewed as (k, M) complex."""
+    scattered by _scattered."""
     live, block, width = cols
-    out = np.zeros((weights.shape[0], width))
-    out[:, live] = weights @ block
-    return out.view(np.complex128)
+    return _scattered(live, width, weights @ block)
 
 
 # The point-independent half of the hemisphere sweep: per rule, its node
@@ -370,43 +378,57 @@ class FullBallCauchy:
     """Full-sphere Cauchy integral, the master oracle of the hemisphere
     reconstruction: (1/lambda_{m-1}) int (z - eta)/|z - eta|^m eta f(eta) dS(eta)
     over S^{m-1}.  f_boundary maps the (N, m) node block to (N, 2^m)
-    coefficients (AxialField.boundary_value does) and is called once; the
-    live float64 columns of that block (_live_columns) and the (m + 1, N) real
-    rows eta_1..eta_m, |eta|^2 are kept, so each evaluation is one real product.
+    coefficients (AxialField.boundary_value does) and is called once.
+
+    The oracle keeps two arrays.  _rows is one C-ordered (m + 1, N) real
+    array: the rows eta_1..eta_m and then |eta|^2.  _cols holds the L live
+    float64 columns of the boundary block (_live_columns), whose transpose
+    (L, N) is C-ordered.  An evaluation takes the squared distances from one
+    matvec,
+      |z - eta|^2 = (|z|^2 + |eta|^2) - 2 <z, eta>,
+    the expansion that kernel_I_oracle documents; it rounds apart from the
+    direct square, so an exact hit may come out slightly below 0, and the
+    distance check refuses it before any reciprocal is taken.  The weights
+    w |z - eta|^{-m} then scale the (L, N) block in one pass, and one
+    product of _rows with it gives every moment.  Beside the (m + 1, L)
+    moments, an evaluation holds at most L + 1 arrays of N floats.
     """
 
     def __init__(self, f_boundary, rule: SphereRule):
         self.rule = rule
         self.dim = rule.dim
-        values = np.asarray(f_boundary(rule.points))
-        expected = (rule.points.shape[0], 1 << self.dim)
+        points = rule.points
+        values = np.asarray(f_boundary(points))
+        expected = (points.shape[0], 1 << self.dim)
         if values.shape != expected:
             raise ValueError(
-                f"f_boundary must map the {rule.points.shape} node block to {expected} "
+                f"f_boundary must map the {points.shape} node block to {expected} "
                 f"coefficients, got shape {values.shape}"
             )
         self._cols = _live_columns(values)
-        self._rows = np.vstack([rule.points.T, np.einsum("ij,ij->i", rule.points, rule.points)])
+        self._rows = np.empty((self.dim + 1, points.shape[0]))
+        self._rows[:-1] = points.T
+        np.einsum("ij,ij->i", points, points, out=self._rows[-1])
 
     def evaluate(self, pt: BiaxialPoint) -> Multivector:
         if pt.dim != self.dim:
             raise ValueError("point dimension does not match the rule")
         _check_interior(pt.r, pt.y)
         dim = self.dim
+        rows = self._rows
         z = np.concatenate([pt.x, pt.y])
-        # Row by row over the coordinates: below 8 terms np.add.reduce sums
-        # a point left to right too (sphere_rule caps dim at 6), so this is
-        # the same rounding without one inner-loop call per node.
-        dist2 = np.zeros(self._rows.shape[1])
-        for coord, row in zip(z, self._rows[:dim]):
-            d = coord - row
-            dist2 += d * d
+        dots = (2.0 * z) @ rows[:dim]
+        dist2 = rows[dim] + float(np.dot(z, z))
+        dist2 -= dots
         _check_range("squared distance to a boundary node", float(np.min(dist2)),
                      _MIN_BOUNDARY_DISTANCE ** 2, math.inf)
-        scale = self.rule.weights * _inverse_half_power(dist2, dim, np.empty_like(dist2))
+        scale = _inverse_half_power(dist2, dim, dots)  # dots: the ladder's work row
+        del dots  # freed before the (L, N) block below
+        scale *= self.rule.weights
         # Bilinearity, with eta eta = -|eta|^2:
         # sum scale (z - eta) eta f = z sum_i e_i (sum scale eta_i f) + sum scale |eta|^2 f.
-        moments = _live_product(self._rows * scale, self._cols)
+        live, block, width = self._cols
+        moments = _scattered(live, width, rows @ (block.T * scale).T)
         eta_f = batch_vector_product(np.eye(dim), moments[:-1], dim).sum(axis=0)
         total = (pt.embed() * Multivector._wrap(dim, eta_f)).coeffs + moments[-1]
         return Multivector(dim, total / sphere_area(dim))

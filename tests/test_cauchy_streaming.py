@@ -4,6 +4,7 @@ replaced, both to rounding."""
 
 import math
 import re
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -13,14 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biaxial.algebra import BiaxialPoint
-from biaxial.cauchy import _MIN_BOUNDARY_DISTANCE, FullBallCauchy, kernel_I_oracle
+from biaxial.cauchy import BALL_RADIUS_MAX, _MIN_BOUNDARY_DISTANCE, FullBallCauchy, kernel_I_oracle
 from biaxial.fields import constant_field, linear_monogenic_field
 from biaxial.planewave import exp_hpw_axial_field
-from biaxial.quadrature import _ORACLE_BLOCK, sphere_rule
+from biaxial.quadrature import _ORACLE_BLOCK, sphere_area, sphere_rule
 from biaxial.rng import SplitMix64
 
 import one_pass_reference as reference
 import probe_reference
+import product_reference
 
 # sphere_rule(p, res) has res^(p-1) nodes: a coarse, a medium and a fine
 # rule per p, up to 5,000 nodes, and for p = 3 a rule of 22,500 nodes that
@@ -137,3 +139,88 @@ def test_full_ball_evaluate_equals_the_norm_based_pass(p, q, res):
             for ref in (reference.full_ball_evaluate(oracle, pt, f),
                         probe_reference.full_ball_evaluate(oracle, pt, f)):
                 assert float(np.max(np.abs(got - ref.coeffs))) <= 1e-13 * max(1.0, ref.norm_inf)
+
+
+def _full_ball_long_double(rule, f, z):
+    """The full-ball quadrature sum of the complex boundary block f at z,
+    formed in long double from direct squared distances: the rule, f and z
+    are the float64 inputs of FullBallCauchy.evaluate, and only the sum's
+    rounding differs."""
+    ld = np.longdouble
+    dim = rule.dim
+    eta = rule.points.astype(ld)
+    dist2 = np.sum((z.astype(ld) - eta) ** 2, axis=1)
+    scale = rule.weights.astype(ld) / (dist2 ** (dim // 2) * np.sqrt(dist2) ** (dim % 2))
+    rows = np.vstack([eta.T, np.sum(eta * eta, axis=1)]) * scale
+    view = f.view(np.float64)
+    live = np.flatnonzero(view.any(axis=0))
+    moments = np.zeros((dim + 1, view.shape[1]), dtype=ld)
+    moments[:, live] = rows @ view[:, live].astype(ld)
+    # (dim + 1, 2^dim, 2): each moment's blade coefficients, real and imaginary.
+    moments = moments.reshape(dim + 1, -1, 2)
+    sign = product_reference._blade_tables(dim)[0]
+    blades = np.arange(1 << dim)
+
+    def left(i, c):  # e_i c
+        src = blades ^ (1 << i)
+        return sign[1 << i][src][:, None] * c[src]
+
+    eta_f = sum(left(i, moments[i]) for i in range(dim))
+    total = sum(z[j] * left(j, eta_f) for j in range(dim)) + moments[dim]
+    total = (total / ld(sphere_area(dim))).astype(np.float64)
+    return total[:, 0] + 1j * total[:, 1]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended long double")
+@pytest.mark.parametrize("p,q,res", [(2, 2, 28), (3, 2, 16), (2, 3, 16)])
+def test_full_ball_evaluate_at_the_edge_of_the_ball(p, q, res):
+    # (|z|^2 + |eta|^2) - 2 <z, eta> cancels most where z nears a node: here
+    # |x + y| = BALL_RADIUS_MAX along 16 node directions spread over the
+    # rule, 0.1 from the node.  The arbiter is the same quadrature sum in
+    # long double; the float64 one-pass reference is itself up to 0.75 of
+    # the bound away from it there.
+    rule = sphere_rule(p + q, res)
+    s = np.eye(q)[0]
+    pts = []
+    for k in np.linspace(0, rule.size - 1, 16).astype(int):
+        eta = rule.points[k]
+        z = BALL_RADIUS_MAX * eta / np.linalg.norm(eta)
+        while True:  # |x+y| as the interior check forms it, at most BALL_RADIUS_MAX
+            pt = BiaxialPoint(p, q, z[:p], z[p:])
+            radius = math.sqrt(pt.r * pt.r + float(np.dot(pt.y, pt.y)))
+            if radius <= BALL_RADIUS_MAX:
+                break
+            z = np.nextafter(z, 0.0)
+        assert radius > BALL_RADIUS_MAX - 1e-15
+        pts.append(pt)
+    for field in (constant_field(p, q), linear_monogenic_field(p, q, s),
+                  exp_hpw_axial_field(p, q, s)):
+        oracle = FullBallCauchy(field.boundary_value, rule)
+        f = np.asarray(field.boundary_value(rule.points), dtype=np.complex128)
+        for pt in pts:
+            got = oracle.evaluate(pt).coeffs
+            ref = _full_ball_long_double(rule, f, np.concatenate([pt.x, pt.y]))
+            assert float(np.max(np.abs(got - ref))) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+
+
+@pytest.mark.parametrize("p,q,res", [(2, 2, 28), (2, 3, 16)])
+def test_full_ball_evaluate_holds_no_row_block_temporary(p, q, res):
+    # With L live columns and N nodes, one evaluation holds the distances,
+    # the ladder's work row and then the scaled (L, N) block: never an
+    # (m + 1, N) temporary, which would exceed (L + 2) rows of N floats.
+    rule = sphere_rule(p + q, res)
+    s = np.eye(q)[0]
+    pt = BiaxialPoint(p, q, np.full(p, 0.2), np.full(q, 0.15))
+    for field in (constant_field(p, q), linear_monogenic_field(p, q, s),
+                  exp_hpw_axial_field(p, q, s)):
+        oracle = FullBallCauchy(field.boundary_value, rule)
+        assert oracle._rows.flags.c_contiguous and oracle._cols[1].T.flags.c_contiguous
+        oracle.evaluate(pt)
+        tracemalloc.start()
+        try:
+            oracle.evaluate(pt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        live = oracle._cols[0].size
+        assert peak <= (live + 2) * 8 * rule.size + 64 * 1024, (live, peak)

@@ -282,8 +282,9 @@ def test_over_budget_rule_exits_2_before_allocation(refuse_polar_rules, capsys, 
 
 
 @pytest.mark.parametrize("args, message", [
-    # Two stored terms leave no C_2 coefficient to check.
-    (["verify", "ck", "--J", "1"], "ck suite J must lie in [2, inf], got 1"),
+    # Below cli.CK_SUITE_J_MIN terms the series tail misses its tolerance
+    # at some of the suite's draws.
+    (["verify", "ck", "--J", "1"], "ck suite J must lie in [21, inf], got 1"),
     # The Bessel-J series is accurate only up to z = 12.
     (["eval", "exp-hpw", "--grid-r", "0:40:3"], "argument must lie in [0, 12.0], got 20.0"),
 ])

@@ -17,7 +17,7 @@ from biaxial.cauchy import (
     kernel_I_oracle,
     reconstruct_ab_variants,
 )
-from biaxial.fields import _unit, beta, constant_field
+from biaxial.fields import ExpLinear, _unit, beta, ck_extend, constant_field, eval_series
 from biaxial.planewave import exp_coeffs_closed
 from biaxial.quadrature import (
     MAX_SPHERE_NODES,
@@ -28,7 +28,13 @@ from biaxial.quadrature import (
     sphere_area,
     sphere_rule,
 )
-from biaxial.special import _check_range, gegenbauer, gegenbauer_normalized, hyp2f1_symmetric
+from biaxial.special import (
+    ConvergenceError,
+    _check_range,
+    gegenbauer,
+    gegenbauer_normalized,
+    hyp2f1_symmetric,
+)
 
 NAN = float("nan")
 Y = np.array([0.1, 0.2])
@@ -257,8 +263,8 @@ CLI_LIMITS = {
     "kernel-table q": (["kernel-table", "--q", "1"], "kernel-table q must lie in [2, inf], got 1",
                        ["kernel-table", "--q", "nan"], [["kernel-table", "--q", "2", "--res", "8"]],
                        {}),
-    "ck suite J": (["verify", "ck", "--J", "1"], "ck suite J must lie in [2, inf], got 1",
-                   ["verify", "ck", "--J", "nan"], [["verify", "ck", "--J", "2"]], {}),
+    "ck suite J": (["verify", "ck", "--J", "20"], "ck suite J must lie in [21, inf], got 20",
+                   ["verify", "ck", "--J", "nan"], [["verify", "ck", "--J", "21"]], {}),
     "--tol": (["kernel-table", "--tol", "-0.5"], "--tol must lie in [0, inf], got -0.5",
               ["kernel-table", "--tol", "nan"], [["kernel-table", "--tol", "0", "--res", "8"]], {}),
     "--num-points": (["reconstruct", "--num-points", "0"],
@@ -303,3 +309,28 @@ def test_each_cli_limit_exits_2_naming_itself_and_admits_its_ends(monkeypatch, c
     for args in admitted:
         code, error = _run(args, capsys, tmp_path)
         assert code != 2 or not error.startswith(case), error
+
+
+# Every (p, q) that verify admits: p in [2, 7] and 1 <= q <= 8 - p.
+ADMITTED_PQ = [(p, q) for p in range(2, 8) for q in range(1, 9 - p)]
+
+
+@pytest.mark.parametrize("seed", [1, 2024, 20260])
+def test_ck_suite_passes_at_its_admitted_end(capsys, tmp_path, seed):
+    for p, q in ADMITTED_PQ:
+        argv = ["verify", "ck", "--p", str(p), "--q", str(q), "--J", str(cli.CK_SUITE_J_MIN),
+                "--seed", str(seed)]
+        assert _run(argv, capsys, tmp_path) == (0, None), argv
+
+
+@pytest.mark.parametrize("p,q", ADMITTED_PQ)
+def test_ck_suite_j_floor_meets_the_series_tolerance_at_the_suites_worst_draw(p, q):
+    # The suite's CK draws reach |x| = 1.8 and <y, s> = 0.6, where the tail
+    # is largest against the value.  p = 2 needs every term of the floor.
+    s = np.eye(q)[0]
+    pt = BiaxialPoint(p, q, np.eye(p)[-1] * 1.8, np.full(q, 0.6))
+    eval_series(ck_extend(ExpLinear.exponential(s), p, q, J=cli.CK_SUITE_J_MIN), pt)
+    if p == 2:
+        short = ck_extend(ExpLinear.exponential(s), p, q, J=cli.CK_SUITE_J_MIN - 1)
+        with pytest.raises(ConvergenceError, match="^series tail"):
+            eval_series(short, pt)

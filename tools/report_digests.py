@@ -32,8 +32,11 @@ FORMATS = ("json", "csv")
 
 def commands():
     """The benchmark's cli_verify commands, verify cauchy at three axis
-    splits, the default reconstruction and those of the fourier-kernel and
-    poly fields; eval of every field is among the former."""
+    splits, the default reconstruction at 3 and at 100 points and those of
+    the fourier-kernel and poly fields; eval of every field is among the
+    former.  At 3 points a reconstruction's time goes to building the
+    full-ball oracle and the first sweep; at 100 it goes to the per-point
+    sweep and oracle evaluation."""
     out = []
     for p, q in ((2, 2), (3, 2), (4, 4)):
         for suite in ("algebra", "funkhecke", "vekua", "dirac", "kernel", "planewave", "ck"):
@@ -44,6 +47,7 @@ def commands():
     for p, q in ((2, 2), (3, 2), (2, 3)):
         out.append(["verify", "cauchy", "--p", str(p), "--q", str(q)])
     out.append(["reconstruct", "--num-points", "3"])
+    out.append(["reconstruct", "--num-points", "100"])
     for field in ("fourier-kernel", "poly"):
         out.append(["reconstruct", "--field", field, "--num-points", "3"])
     return out
